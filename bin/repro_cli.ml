@@ -256,7 +256,7 @@ let export_cmd format workload scale =
               (Harness.Experiment.default_key ~workload:name
                  ~size:(Harness.Experiment.size_for ~scale w))
           in
-          print_endline (Harness.Export.to_string (Harness.Export.run_json run)))
+          print_endline (Harness.Codec.to_string (Harness.Export.run_json run)))
   | other ->
       Printf.eprintf "unknown format %s (csv, jsonl, json)\n" other;
       exit 2

@@ -14,6 +14,11 @@
     keep the VM's results bit-identical — a backend only changes what
     bookkeeping rides along.
 
+    Every counter the strategies advance lives in one record inside the
+    context, [ctx.stats] (the mutable fields of a {!Stats.t}): whichever
+    backend is active bumps the same field, so the engine's end-of-run
+    statistics are one copy of that record.
+
     This module holds the shared context and the helpers strategies
     compose ({!prologue}, {!follow}, {!observe}, the trace
     completion/side-exit bookkeeping, the health-ladder walk and the
@@ -69,42 +74,13 @@ type ctx = {
   mutable prev : Cfg.Layout.gid;
       (** last block actually executed, traces included *)
   mutable prev2 : Cfg.Layout.gid;
-  mutable block_dispatches : int;
-  mutable trace_dispatches : int;
-  mutable traces_entered : int;
-  mutable traces_completed : int;
-  mutable completed_blocks : int;
-  mutable partial_blocks : int;
-  mutable completed_instrs : int;
-  mutable partial_instrs : int;
-  mutable traces_constructed : int;
-  mutable builder_reuses : int;
-  mutable chained_entries : int;
-  mutable guards_checked : int;
-      (** in-trace guard positions compared against the executed block *)
-  mutable guards_elided : int;
-      (** in-trace guard positions skipped on a [Trace_prover] proof
-          ([Trace.pruned]); the comparison still runs — traces are a
-          pure observational overlay — but is accounted as elided *)
-  mutable guards_pruned : int;
-      (** static pruning verdicts derived at install time *)
-  mutable traces_compiled : int;
-      (** promotions to the compiled micro-IR tier *)
-  mutable tier_demotions : int;
-      (** compiled slots lost under [compile_budget] *)
-  mutable compiled_entries : int;
-      (** trace entries that ran on the compiled tier *)
-  mutable mi_positions : int;
-      (** trace positions followed on the compiled tier *)
-  mutable mi_ops : int;  (** micro-ops those positions dispatched *)
-  mutable mi_fused : int;  (** superinstructions among them *)
-  mutable mi_src_instrs : int;
-      (** source instructions the same positions dispatch under
-          [Backend_trace] — the baseline of the reduction *)
+  stats : Stats.t;
+      (** the live counter block: every count the dispatch path
+          advances, updated in place through its mutable fields.  The
+          single home of those counts — [Engine] reads its accessors,
+          gauges and end-of-run statistics from here. *)
   mutable just_completed : bool;
-  mutable invariant_violations : int;
   mutable seen_decays : int;
-  mutable healed_nodes : int;
   mutable in_debug_sweep : bool;
 }
 (** The engine's dispatch state, shared by every strategy.  The record
@@ -142,13 +118,6 @@ module type S = sig
       the trace cache — the engine just abandoned a trace, and
       re-entering one at the deopt transition would defeat the
       resume. *)
-
-  val stats_into : ctx -> Stats.t -> Stats.t
-  (** Overlay the counters this strategy maintains onto a Stats record.
-      The engine composes the end-of-run statistics by piping a base
-      record through every strategy's [stats_into] — counters are
-      cumulative over the whole run, whichever backend was active when
-      they advanced. *)
 end
 
 (** {2 Shared helpers for strategy implementations} *)

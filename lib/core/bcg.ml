@@ -60,7 +60,10 @@ let create (config : Config.t) ~n_blocks ~on_signal =
   {
     config;
     n_blocks;
-    nodes = Hashtbl.create 4096;
+    (* graphs hold a few hundred nodes and the table grows past that on
+       demand; a table of more than 256 buckets is a block allocated
+       straight into the major heap for every engine *)
+    nodes = Hashtbl.create 256;
     on_signal;
     node_count = 0;
     edge_count = 0;

@@ -6,8 +6,10 @@ module Interp = Vm.Interp
    trace dispatch onto the stream.
 
    The engine is a thin shell over the Backend layer: it owns one
-   Backend.ctx (the dispatch state every strategy shares) and selects a
-   dispatch backend per observed block from the Health ladder —
+   Backend.ctx (the dispatch state every strategy shares, including the
+   live counter block ctx.stats that accessors, gauges and [stats] read)
+   and selects a dispatch backend per observed block from the Health
+   ladder —
 
      Full_tracing  + build_traces -> Backend_trace
      Full_tracing  (no traces)    -> Backend_profile
@@ -83,20 +85,21 @@ type t = {
    on the dispatch path, evaluated only when a snapshot is taken. *)
 let register_gauges (m : Metrics.t) (t : t) =
   let e = t.ctx in
-  Metrics.gauge m "block_dispatches" (fun () -> e.Backend.block_dispatches);
-  Metrics.gauge m "trace_dispatches" (fun () -> e.Backend.trace_dispatches);
-  Metrics.gauge m "traces_entered" (fun () -> e.Backend.traces_entered);
-  Metrics.gauge m "traces_completed" (fun () -> e.Backend.traces_completed);
-  Metrics.gauge m "completed_blocks" (fun () -> e.Backend.completed_blocks);
-  Metrics.gauge m "partial_blocks" (fun () -> e.Backend.partial_blocks);
-  Metrics.gauge m "completed_instrs" (fun () -> e.Backend.completed_instrs);
-  Metrics.gauge m "partial_instrs" (fun () -> e.Backend.partial_instrs);
-  Metrics.gauge m "traces_constructed" (fun () -> e.Backend.traces_constructed);
-  Metrics.gauge m "builder_reuses" (fun () -> e.Backend.builder_reuses);
-  Metrics.gauge m "chained_entries" (fun () -> e.Backend.chained_entries);
-  Metrics.gauge m "guards_checked" (fun () -> e.Backend.guards_checked);
-  Metrics.gauge m "guards_elided" (fun () -> e.Backend.guards_elided);
-  Metrics.gauge m "guards_pruned" (fun () -> e.Backend.guards_pruned);
+  let c = e.Backend.stats in
+  Metrics.gauge m "block_dispatches" (fun () -> c.Stats.block_dispatches);
+  Metrics.gauge m "trace_dispatches" (fun () -> c.Stats.trace_dispatches);
+  Metrics.gauge m "traces_entered" (fun () -> c.Stats.traces_entered);
+  Metrics.gauge m "traces_completed" (fun () -> c.Stats.traces_completed);
+  Metrics.gauge m "completed_blocks" (fun () -> c.Stats.completed_blocks);
+  Metrics.gauge m "partial_blocks" (fun () -> c.Stats.partial_blocks);
+  Metrics.gauge m "completed_instrs" (fun () -> c.Stats.completed_instrs);
+  Metrics.gauge m "partial_instrs" (fun () -> c.Stats.partial_instrs);
+  Metrics.gauge m "traces_constructed" (fun () -> c.Stats.traces_constructed);
+  Metrics.gauge m "builder_reuses" (fun () -> c.Stats.builder_reuses);
+  Metrics.gauge m "chained_entries" (fun () -> c.Stats.chained_entries);
+  Metrics.gauge m "guards_checked" (fun () -> c.Stats.guards_checked);
+  Metrics.gauge m "guards_elided" (fun () -> c.Stats.guards_elided);
+  Metrics.gauge m "guards_pruned" (fun () -> c.Stats.guards_pruned);
   Metrics.gauge m "signals" (fun () -> Profiler.signals e.Backend.profiler);
   Metrics.gauge m "ic_predictions" (fun () ->
       Profiler.predictions e.Backend.profiler);
@@ -108,7 +111,7 @@ let register_gauges (m : Metrics.t) (t : t) =
   Metrics.gauge m "traces_replaced" (fun () ->
       Trace_cache.n_replaced e.Backend.cache);
   Metrics.gauge m "invariant_violations" (fun () ->
-      e.Backend.invariant_violations);
+      c.Stats.invariant_violations);
   Metrics.gauge m "live_blocks" (fun () ->
       Trace_cache.live_blocks e.Backend.cache);
   Metrics.gauge m "traces_evicted" (fun () ->
@@ -122,7 +125,7 @@ let register_gauges (m : Metrics.t) (t : t) =
   Metrics.gauge m "failed_installs" (fun () ->
       Trace_cache.n_failed_installs e.Backend.cache);
   Metrics.gauge m "faults_injected" (fun () -> Faults.injected e.Backend.faults);
-  Metrics.gauge m "healed_nodes" (fun () -> e.Backend.healed_nodes);
+  Metrics.gauge m "healed_nodes" (fun () -> c.Stats.healed_nodes);
   Metrics.gauge m "health_level" (fun () ->
       Health.level_rank (Health.level e.Backend.health));
   Metrics.gauge m "health_demotions" (fun () ->
@@ -144,15 +147,15 @@ let register_gauges (m : Metrics.t) (t : t) =
   Metrics.gauge m "pin_refusals" (fun () ->
       Trace_cache.n_pin_refusals e.Backend.cache);
   if Config.tier_enabled e.Backend.config then begin
-    Metrics.gauge m "traces_compiled" (fun () -> e.Backend.traces_compiled);
-    Metrics.gauge m "tier_demotions" (fun () -> e.Backend.tier_demotions);
-    Metrics.gauge m "compiled_entries" (fun () -> e.Backend.compiled_entries);
+    Metrics.gauge m "traces_compiled" (fun () -> c.Stats.traces_compiled);
+    Metrics.gauge m "tier_demotions" (fun () -> c.Stats.tier_demotions);
+    Metrics.gauge m "compiled_entries" (fun () -> c.Stats.compiled_entries);
     Metrics.gauge m "compiled_live" (fun () ->
         Trace_cache.n_compiled e.Backend.cache);
     Metrics.gauge m "demote_refusals" (fun () ->
         Trace_cache.n_demote_refusals e.Backend.cache);
-    Metrics.gauge m "mi_ops" (fun () -> e.Backend.mi_ops);
-    Metrics.gauge m "mi_src_instrs" (fun () -> e.Backend.mi_src_instrs)
+    Metrics.gauge m "mi_ops" (fun () -> c.Stats.mi_ops);
+    Metrics.gauge m "mi_src_instrs" (fun () -> c.Stats.mi_src_instrs)
   end;
   (match e.Backend.osr with
   | Some osr ->
@@ -270,12 +273,13 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
               ~on_path:(fun n -> Metrics.record e.Backend.h_build_len n)
               e.Backend.config e.Backend.cache signal
           in
-          e.Backend.traces_constructed <-
-            e.Backend.traces_constructed + outcome.Trace_builder.new_traces;
-          e.Backend.builder_reuses <-
-            e.Backend.builder_reuses + outcome.Trace_builder.reused_traces;
-          e.Backend.guards_pruned <-
-            e.Backend.guards_pruned + outcome.Trace_builder.pruned_guards;
+          let c = e.Backend.stats in
+          c.Stats.traces_constructed <-
+            c.Stats.traces_constructed + outcome.Trace_builder.new_traces;
+          c.Stats.builder_reuses <-
+            c.Stats.builder_reuses + outcome.Trace_builder.reused_traces;
+          c.Stats.guards_pruned <-
+            c.Stats.guards_pruned + outcome.Trace_builder.pruned_guards;
           (* attribute the builder outcome (skip all-quiet signals: a
              signal that built, reused or pruned nothing decided
              nothing) *)
@@ -348,31 +352,9 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       matched_instrs = 0;
       prev = -1;
       prev2 = -1;
-      block_dispatches = 0;
-      trace_dispatches = 0;
-      traces_entered = 0;
-      traces_completed = 0;
-      completed_blocks = 0;
-      partial_blocks = 0;
-      completed_instrs = 0;
-      partial_instrs = 0;
-      traces_constructed = 0;
-      builder_reuses = 0;
-      chained_entries = 0;
-      guards_checked = 0;
-      guards_elided = 0;
-      guards_pruned = 0;
-      traces_compiled = 0;
-      tier_demotions = 0;
-      compiled_entries = 0;
-      mi_positions = 0;
-      mi_ops = 0;
-      mi_fused = 0;
-      mi_src_instrs = 0;
+      stats = Stats.create ();
       just_completed = false;
-      invariant_violations = 0;
       seen_decays = 0;
-      healed_nodes = 0;
       in_debug_sweep = false;
     }
   in
@@ -443,46 +425,19 @@ let metrics t = t.ctx.Backend.metrics
 
 let active_trace t = t.ctx.Backend.active
 
-let block_dispatches t = t.ctx.Backend.block_dispatches
+let block_dispatches t = t.ctx.Backend.stats.Stats.block_dispatches
 
-let trace_dispatches t = t.ctx.Backend.trace_dispatches
+let trace_dispatches t = t.ctx.Backend.stats.Stats.trace_dispatches
 
-let total_dispatches t =
-  t.ctx.Backend.block_dispatches + t.ctx.Backend.trace_dispatches
+let total_dispatches t = Backend.clock t.ctx
 
-let traces_entered t = t.ctx.Backend.traces_entered
+let traces_entered t = t.ctx.Backend.stats.Stats.traces_entered
 
-let traces_completed t = t.ctx.Backend.traces_completed
+let builder_reuses t = t.ctx.Backend.stats.Stats.builder_reuses
 
-let completed_blocks t = t.ctx.Backend.completed_blocks
-
-let partial_blocks t = t.ctx.Backend.partial_blocks
-
-let completed_instrs t = t.ctx.Backend.completed_instrs
-
-let partial_instrs t = t.ctx.Backend.partial_instrs
-
-let traces_constructed t = t.ctx.Backend.traces_constructed
-
-let builder_reuses t = t.ctx.Backend.builder_reuses
-
-let chained_entries t = t.ctx.Backend.chained_entries
-
-let guards_checked t = t.ctx.Backend.guards_checked
-
-let guards_elided t = t.ctx.Backend.guards_elided
-
-let guards_pruned t = t.ctx.Backend.guards_pruned
-
-let invariant_violations t = t.ctx.Backend.invariant_violations
+let invariant_violations t = t.ctx.Backend.stats.Stats.invariant_violations
 
 let health t = t.ctx.Backend.health
-
-let health_level t = Health.level t.ctx.Backend.health
-
-let faults_injected t = Faults.injected t.ctx.Backend.faults
-
-let healed_nodes t = t.ctx.Backend.healed_nodes
 
 let spans t = t.ctx.Backend.spans
 
@@ -510,42 +465,26 @@ let backoff_hist t = t.ctx.Backend.h_backoff
 let deopt_residue_hist t = t.ctx.Backend.h_deopt_residue
 
 (* OSR accounting; all zero when Config.Osr is off. *)
-let deopts t =
-  match t.ctx.Backend.osr with Some o -> Osr.deopts o | None -> 0
+let osr_count f t = match t.ctx.Backend.osr with Some o -> f o | None -> 0
 
-let deopt_residue_blocks t =
-  match t.ctx.Backend.osr with Some o -> Osr.residue_blocks o | None -> 0
+let deopts = osr_count Osr.deopts
 
-let osr_promotions t =
-  match t.ctx.Backend.osr with Some o -> Osr.promotions o | None -> 0
+let osr_promotions = osr_count Osr.promotions
 
-let osr_entries t =
-  match t.ctx.Backend.osr with Some o -> Osr.entries o | None -> 0
+let osr_entries = osr_count Osr.entries
 
-let osr_state_checks t =
-  match t.ctx.Backend.osr with Some o -> Osr.state_checks o | None -> 0
+let osr_state_checks = osr_count Osr.state_checks
 
-let osr_state_mismatches t =
-  match t.ctx.Backend.osr with Some o -> Osr.state_mismatches o | None -> 0
+let osr_state_mismatches = osr_count Osr.state_mismatches
 
 let pin_refusals t = Trace_cache.n_pin_refusals t.ctx.Backend.cache
 
 (* compiled-tier accounting; all zero when Config.Tier is off *)
-let traces_compiled t = t.ctx.Backend.traces_compiled
+let compiled_entries t = t.ctx.Backend.stats.Stats.compiled_entries
 
-let tier_demotions t = t.ctx.Backend.tier_demotions
+let mi_positions t = t.ctx.Backend.stats.Stats.mi_positions
 
-let compiled_entries t = t.ctx.Backend.compiled_entries
-
-let mi_positions t = t.ctx.Backend.mi_positions
-
-let mi_ops t = t.ctx.Backend.mi_ops
-
-let mi_fused t = t.ctx.Backend.mi_fused
-
-let mi_src_instrs t = t.ctx.Backend.mi_src_instrs
-
-let demote_refusals t = Trace_cache.n_demote_refusals t.ctx.Backend.cache
+let mi_ops t = t.ctx.Backend.stats.Stats.mi_ops
 
 let arm_guard_flip t ~pos = Faults.arm_flip t.ctx.Backend.faults ~pos
 
@@ -558,8 +497,6 @@ let attach t (handle : Interp.handle) =
   | None -> ()
 
 let backend_kind t = t.kind
-
-let backend t = implementation t.kind
 
 let backend_name t = backend_kind_name t.kind
 
@@ -590,34 +527,45 @@ let on_block t (g : Layout.gid) =
   | Trace -> Backend_trace.on_block ctx g
   | Microir -> Backend_microir.on_block ctx g
 
-(* Assemble final statistics: the engine fills the VM / resilience
-   fields, then every strategy overlays the counters it maintains.  All
-   three always contribute — counters are cumulative over the run,
-   whichever backend was active when they advanced. *)
+(* End-of-run statistics: one copy of the live counter block, with the
+   fields other modules own (VM, profiler, cache, OSR, health, faults)
+   filled in.  The copy is a snapshot — driving the engine further does
+   not change it. *)
 let stats t ~(vm_result : Interp.result) ~wall_seconds : Stats.t =
   let ctx = t.ctx in
-  let base =
-    {
-      Stats.zero with
-      Stats.instructions = vm_result.Interp.instructions;
-      invariant_violations = ctx.Backend.invariant_violations;
-      faults_injected = Faults.injected ctx.Backend.faults;
-      traces_quarantined = Trace_cache.n_quarantines ctx.Backend.cache;
-      traces_evicted = Trace_cache.n_evicted ctx.Backend.cache;
-      traces_blacklisted = Trace_cache.n_blacklisted ctx.Backend.cache;
-      failed_installs = Trace_cache.n_failed_installs ctx.Backend.cache;
-      healed_nodes = ctx.Backend.healed_nodes;
-      health_demotions = Health.demotions ctx.Backend.health;
-      health_promotions = Health.promotions ctx.Backend.health;
-      final_health = Health.level_rank (Health.level ctx.Backend.health);
-      wall_seconds;
-    }
-  in
-  List.fold_left
-    (fun s k ->
-      let (module B : Backend.S) = implementation k in
-      B.stats_into ctx s)
-    base backends
+  let profiler = ctx.Backend.profiler and cache = ctx.Backend.cache in
+  let health = ctx.Backend.health in
+  let static_traces = ref 0 and static_blocks = ref 0 in
+  Trace_cache.iter_all cache (fun tr ->
+      if tr.Trace.completed > 0 then begin
+        incr static_traces;
+        static_blocks := !static_blocks + Trace.n_blocks tr
+      end);
+  {
+    ctx.Backend.stats with
+    Stats.instructions = vm_result.Interp.instructions;
+    signals = Profiler.signals profiler;
+    traces_replaced = Trace_cache.n_replaced cache;
+    traces_live = Trace_cache.n_live cache;
+    static_traces = !static_traces;
+    static_blocks = !static_blocks;
+    bcg_nodes = Bcg.n_nodes (Profiler.bcg profiler);
+    bcg_edges = Bcg.n_edges (Profiler.bcg profiler);
+    ic_predictions = Profiler.predictions profiler;
+    faults_injected = Faults.injected ctx.Backend.faults;
+    traces_quarantined = Trace_cache.n_quarantines cache;
+    traces_evicted = Trace_cache.n_evicted cache;
+    traces_blacklisted = Trace_cache.n_blacklisted cache;
+    failed_installs = Trace_cache.n_failed_installs cache;
+    health_demotions = Health.demotions health;
+    health_promotions = Health.promotions health;
+    final_health = Health.level_rank (Health.level health);
+    deopts = deopts t;
+    deopt_residue_blocks = osr_count Osr.residue_blocks t;
+    osr_promotions = osr_promotions t;
+    osr_entries = osr_entries t;
+    wall_seconds;
+  }
 
 (* Warm starts: the engine-level snapshot is the Persist encoding of
    the profiler's BCG plus the live trace cache, and restoring is the
@@ -668,7 +616,8 @@ let restore t data : (restore_info, Persist.error) result =
         Tier.recompile_restored ctx.Backend.config ctx.Backend.layout
           ctx.Backend.cache ~events:ctx.Backend.events
       in
-      ctx.Backend.traces_compiled <- ctx.Backend.traces_compiled + recompiled;
+      let c = ctx.Backend.stats in
+      c.Stats.traces_compiled <- c.Stats.traces_compiled + recompiled;
       let info =
         {
           restored_traces = traces;

@@ -86,6 +86,10 @@ val on_block : t -> Cfg.Layout.gid -> unit
     can be driven by any block stream (the baselines and tests do). *)
 
 val stats : t -> vm_result:Vm.Interp.result -> wall_seconds:float -> Stats.t
+(** A snapshot of the engine's accounting: a copy of its live counter
+    block ([Backend.ctx.stats]) with the fields other components own
+    (profiler, BCG, cache, OSR, health, faults) filled in.  Driving the
+    engine further does not change a record already returned. *)
 
 (** {2 Accessors} *)
 
@@ -116,33 +120,7 @@ val total_dispatches : t -> int
 
 val traces_entered : t -> int
 
-val traces_completed : t -> int
-
-val completed_blocks : t -> int
-
-val partial_blocks : t -> int
-
-val completed_instrs : t -> int
-
-val partial_instrs : t -> int
-
-val traces_constructed : t -> int
-
 val builder_reuses : t -> int
-
-val chained_entries : t -> int
-
-val guards_checked : t -> int
-(** In-trace guard positions actually compared against the executed
-    block so far. *)
-
-val guards_elided : t -> int
-(** Guard positions skipped on a [Trace_prover] proof ([Trace.pruned]
-    verdicts) while following traces. *)
-
-val guards_pruned : t -> int
-(** Static pruning verdicts derived at trace installation
-    ({!Config.t.prune_guards}); [0] when pruning is off. *)
 
 val invariant_violations : t -> int
 (** Findings reported by the {!Config.t.debug_checks} sweeps so far;
@@ -152,14 +130,6 @@ val invariant_violations : t -> int
 val health : t -> Health.t
 (** The degradation ladder ({!Config.t.self_heal}); stays at
     [Full_tracing] when self-healing is off. *)
-
-val health_level : t -> Health.level
-
-val faults_injected : t -> int
-(** Faults the {!Config.t.fault_spec} schedule actually applied so far. *)
-
-val healed_nodes : t -> int
-(** BCG nodes the self-healing sweeps repaired in place. *)
 
 (** {2 Deep observability} *)
 
@@ -215,9 +185,6 @@ val deopts : t -> int
 (** OSR deoptimizations taken so far (organic guard failures, FT008
     flips and mid-flight condemnation cut-overs). *)
 
-val deopt_residue_blocks : t -> int
-(** Trace positions abandoned past the deopt points, summed. *)
-
 val osr_promotions : t -> int
 (** Hot loops promoted into traces mid-iteration. *)
 
@@ -240,13 +207,6 @@ val pin_refusals : t -> int
 
     All zero when {!Config.Tier} is off. *)
 
-val traces_compiled : t -> int
-(** Promotions to the compiled micro-IR tier (runtime and
-    restore-time). *)
-
-val tier_demotions : t -> int
-(** Compiled slots lost under [compile_budget]. *)
-
 val compiled_entries : t -> int
 (** Trace entries that ran on the compiled tier. *)
 
@@ -255,17 +215,6 @@ val mi_positions : t -> int
 
 val mi_ops : t -> int
 (** Micro-ops those positions dispatched. *)
-
-val mi_fused : t -> int
-(** Superinstructions among the dispatched micro-ops. *)
-
-val mi_src_instrs : t -> int
-(** Source instructions the same positions dispatch under
-    [Backend_trace] — the reduction baseline. *)
-
-val demote_refusals : t -> int
-(** Budget demotions refused because the compiled trace was executing
-    ({!Trace_cache.n_demote_refusals}). *)
 
 val arm_guard_flip : t -> pos:int -> unit
 (** Arm one FT008 guard flip at trace position [pos] directly
@@ -289,8 +238,6 @@ val attach : t -> Vm.Interp.handle -> unit
 
 val backend_kind : t -> backend_kind
 (** The strategy currently dispatching. *)
-
-val backend : t -> (module Backend.S)
 
 val backend_name : t -> string
 

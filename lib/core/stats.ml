@@ -1,18 +1,29 @@
 (* The five dependent values of the evaluation (paper §5.2), plus the raw
-   counts they derive from. *)
+   counts they derive from.
+
+   The [mutable] fields are the counters the dispatch path advances: the
+   engine owns one fresh record ([create]) as its live counter block, and
+   Engine.stats copies it once, filling the immutable fields from the
+   modules that own them (VM, profiler, cache, OSR, health, faults). *)
 
 type t = {
   instructions : int; (* bytecodes executed (= Figure-1 dispatch count) *)
-  block_dispatches : int; (* dispatches outside traces (profiled) *)
-  trace_dispatches : int; (* trace entries (one hook each) *)
-  traces_entered : int;
-  traces_completed : int;
-  completed_blocks : int; (* sum over completions of the trace's block count *)
-  partial_blocks : int; (* blocks executed by partially executed traces *)
-  completed_instrs : int; (* instructions executed by completed traces *)
-  partial_instrs : int; (* instructions executed by partially executed traces *)
+  mutable block_dispatches : int; (* dispatches outside traces (profiled) *)
+  mutable trace_dispatches : int; (* trace entries (one hook each) *)
+  mutable traces_entered : int;
+  mutable traces_completed : int;
+  mutable completed_blocks : int;
+      (* sum over completions of the trace's block count *)
+  mutable partial_blocks : int;
+      (* blocks executed by partially executed traces *)
+  mutable completed_instrs : int;
+      (* instructions executed by completed traces *)
+  mutable partial_instrs : int;
+      (* instructions executed by partially executed traces *)
   signals : int;
-  traces_constructed : int;
+  mutable traces_constructed : int;
+  mutable builder_reuses : int;
+      (* builder reconstructions satisfied by a cached trace *)
   traces_replaced : int;
   traces_live : int;
   (* static view over distinct traces that completed at least once *)
@@ -21,26 +32,27 @@ type t = {
   bcg_nodes : int;
   bcg_edges : int;
   ic_predictions : int; (* inline-cache hits in the profiler *)
-  chained_entries : int;
+  mutable chained_entries : int;
       (* trace entries directly following another trace's completion *)
-  guards_checked : int;
+  mutable guards_checked : int;
       (* trace-position guards actually compared against the executed
          block during dispatch *)
-  guards_elided : int;
+  mutable guards_elided : int;
       (* guard positions skipped because Trace_prover proved them
          implied (Trace.pruned verdicts) *)
-  guards_pruned : int;
+  mutable guards_pruned : int;
       (* static pruning verdicts derived at install time, summed over
          constructed traces *)
   (* resilience: the self-healing / chaos counters.  All zero on a
      healthy run without fault injection. *)
-  invariant_violations : int; (* findings of the debug_checks sweeps *)
+  mutable invariant_violations : int;
+      (* findings of the debug_checks sweeps *)
   faults_injected : int; (* faults the injector actually applied *)
   traces_quarantined : int; (* condemnations (entries may repeat) *)
   traces_evicted : int; (* capacity / pressure evictions *)
   traces_blacklisted : int; (* entries quarantined permanently *)
   failed_installs : int; (* injected installation failures consumed *)
-  healed_nodes : int; (* BCG nodes repaired in place *)
+  mutable healed_nodes : int; (* BCG nodes repaired in place *)
   health_demotions : int;
   health_promotions : int;
   final_health : int; (* Health.level_rank at end of run: 0 = full *)
@@ -51,13 +63,15 @@ type t = {
   osr_promotions : int; (* hot loops promoted mid-iteration *)
   osr_entries : int; (* promoted traces entered on their armed back-edge *)
   (* the compiled micro-IR tier (Config.Tier).  All zero with tier off. *)
-  traces_compiled : int; (* promotions to the compiled tier *)
-  tier_demotions : int; (* compiled slots lost under compile_budget *)
-  compiled_entries : int; (* trace entries that ran on the compiled tier *)
-  mi_positions : int; (* trace positions followed on the compiled tier *)
-  mi_ops : int; (* micro-ops those positions dispatched *)
-  mi_fused : int; (* superinstructions among them *)
-  mi_src_instrs : int;
+  mutable traces_compiled : int; (* promotions to the compiled tier *)
+  mutable tier_demotions : int; (* compiled slots lost under compile_budget *)
+  mutable compiled_entries : int;
+      (* trace entries that ran on the compiled tier *)
+  mutable mi_positions : int;
+      (* trace positions followed on the compiled tier *)
+  mutable mi_ops : int; (* micro-ops those positions dispatched *)
+  mutable mi_fused : int; (* superinstructions among them *)
+  mutable mi_src_instrs : int;
       (* source bytecode instructions the same positions would have
          dispatched under Backend_trace — the baseline of the
          dispatch-cost reduction *)
@@ -77,6 +91,7 @@ let zero =
     partial_instrs = 0;
     signals = 0;
     traces_constructed = 0;
+    builder_reuses = 0;
     traces_replaced = 0;
     traces_live = 0;
     static_traces = 0;
@@ -111,6 +126,8 @@ let zero =
     mi_src_instrs = 0;
     wall_seconds = 0.0;
   }
+
+let create () = { zero with instructions = 0 }
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
@@ -203,6 +220,107 @@ let derived t : derived =
     mi_fused_share = ratio t.mi_fused t.mi_ops;
   }
 
+(* Every raw count, then every derived value, under its field name — the
+   one list the flat exporters (Harness.Export.stats_json) are built from.
+   Both patterns are exhaustive and the warning for a missing field is an
+   error here, so a new field that is not listed fails the build. *)
+type field = Int of int | Float of float
+
+let[@warning "+9"] fields (s : t) : (string * field) list =
+  let {
+    instructions; block_dispatches; trace_dispatches; traces_entered;
+    traces_completed; completed_blocks; partial_blocks; completed_instrs;
+    partial_instrs; signals; traces_constructed; builder_reuses;
+    traces_replaced; traces_live; static_traces; static_blocks; bcg_nodes;
+    bcg_edges; ic_predictions; chained_entries; guards_checked;
+    guards_elided; guards_pruned; invariant_violations; faults_injected;
+    traces_quarantined; traces_evicted; traces_blacklisted; failed_installs;
+    healed_nodes; health_demotions; health_promotions; final_health; deopts;
+    deopt_residue_blocks; osr_promotions; osr_entries; traces_compiled;
+    tier_demotions; compiled_entries; mi_positions; mi_ops; mi_fused;
+    mi_src_instrs; wall_seconds;
+  } =
+    s
+  in
+  let {
+    total_dispatches; trace_events; avg_trace_length; dynamic_trace_length;
+    coverage_completed; coverage_total; completion_rate;
+    dispatches_per_signal; trace_event_interval; linking_rate;
+    dispatch_reduction; quarantine_rate; eviction_rate; guard_elision_rate;
+    guards_per_kinstr; deopt_rate; deopt_residue; mi_ops_per_position;
+    mi_src_per_position; mi_dispatch_reduction; mi_fused_share;
+  } =
+    derived s
+  in
+  [
+    ("instructions", Int instructions);
+    ("block_dispatches", Int block_dispatches);
+    ("trace_dispatches", Int trace_dispatches);
+    ("traces_entered", Int traces_entered);
+    ("traces_completed", Int traces_completed);
+    ("completed_blocks", Int completed_blocks);
+    ("partial_blocks", Int partial_blocks);
+    ("completed_instrs", Int completed_instrs);
+    ("partial_instrs", Int partial_instrs);
+    ("signals", Int signals);
+    ("traces_constructed", Int traces_constructed);
+    ("builder_reuses", Int builder_reuses);
+    ("traces_replaced", Int traces_replaced);
+    ("traces_live", Int traces_live);
+    ("static_traces", Int static_traces);
+    ("static_blocks", Int static_blocks);
+    ("bcg_nodes", Int bcg_nodes);
+    ("bcg_edges", Int bcg_edges);
+    ("ic_predictions", Int ic_predictions);
+    ("chained_entries", Int chained_entries);
+    ("guards_checked", Int guards_checked);
+    ("guards_elided", Int guards_elided);
+    ("guards_pruned", Int guards_pruned);
+    ("invariant_violations", Int invariant_violations);
+    ("faults_injected", Int faults_injected);
+    ("traces_quarantined", Int traces_quarantined);
+    ("traces_evicted", Int traces_evicted);
+    ("traces_blacklisted", Int traces_blacklisted);
+    ("failed_installs", Int failed_installs);
+    ("healed_nodes", Int healed_nodes);
+    ("health_demotions", Int health_demotions);
+    ("health_promotions", Int health_promotions);
+    ("final_health", Int final_health);
+    ("deopts", Int deopts);
+    ("deopt_residue_blocks", Int deopt_residue_blocks);
+    ("osr_promotions", Int osr_promotions);
+    ("osr_entries", Int osr_entries);
+    ("traces_compiled", Int traces_compiled);
+    ("tier_demotions", Int tier_demotions);
+    ("compiled_entries", Int compiled_entries);
+    ("mi_positions", Int mi_positions);
+    ("mi_ops", Int mi_ops);
+    ("mi_fused", Int mi_fused);
+    ("mi_src_instrs", Int mi_src_instrs);
+    ("wall_seconds", Float wall_seconds);
+    ("total_dispatches", Int total_dispatches);
+    ("trace_events", Int trace_events);
+    ("avg_trace_length", Float avg_trace_length);
+    ("dynamic_trace_length", Float dynamic_trace_length);
+    ("coverage_completed", Float coverage_completed);
+    ("coverage_total", Float coverage_total);
+    ("completion_rate", Float completion_rate);
+    ("dispatches_per_signal", Float dispatches_per_signal);
+    ("trace_event_interval", Float trace_event_interval);
+    ("linking_rate", Float linking_rate);
+    ("dispatch_reduction", Float dispatch_reduction);
+    ("quarantine_rate", Float quarantine_rate);
+    ("eviction_rate", Float eviction_rate);
+    ("guard_elision_rate", Float guard_elision_rate);
+    ("guards_per_kinstr", Float guards_per_kinstr);
+    ("deopt_rate", Float deopt_rate);
+    ("deopt_residue", Float deopt_residue);
+    ("mi_ops_per_position", Float mi_ops_per_position);
+    ("mi_src_per_position", Float mi_src_per_position);
+    ("mi_dispatch_reduction", Float mi_dispatch_reduction);
+    ("mi_fused_share", Float mi_fused_share);
+  ]
+
 (* Projections, kept for call sites that want a single value. *)
 let total_dispatches t = (derived t).total_dispatches
 
@@ -235,16 +353,6 @@ let guard_elision_rate t = (derived t).guard_elision_rate
 let guards_per_kinstr t = (derived t).guards_per_kinstr
 
 let deopt_rate t = (derived t).deopt_rate
-
-let deopt_residue t = (derived t).deopt_residue
-
-let mi_ops_per_position t = (derived t).mi_ops_per_position
-
-let mi_src_per_position t = (derived t).mi_src_per_position
-
-let mi_dispatch_reduction t = (derived t).mi_dispatch_reduction
-
-let mi_fused_share t = (derived t).mi_fused_share
 
 let pp ppf t =
   let d = derived t in

@@ -1,23 +1,35 @@
 (** The dependent values of the paper's evaluation (§5.2), and the raw
-    counts they derive from. *)
+    counts they derive from.
+
+    The [mutable] fields are the counters the dispatch path advances.
+    The engine owns one record made by {!create} as its live counter
+    block — the single home of those counts — and [Engine.stats] returns
+    a copy with the remaining fields filled from the modules that own
+    them. *)
 
 type t = {
   instructions : int;
       (** bytecodes executed — the Figure-1 per-instruction dispatch
           count *)
-  block_dispatches : int;  (** dispatches outside traces (profiled) *)
-  trace_dispatches : int;  (** trace entries (one profiler hook each) *)
-  traces_entered : int;
-  traces_completed : int;
-  completed_blocks : int;
+  mutable block_dispatches : int;
+      (** dispatches outside traces (profiled) *)
+  mutable trace_dispatches : int;
+      (** trace entries (one profiler hook each) *)
+  mutable traces_entered : int;
+  mutable traces_completed : int;
+  mutable completed_blocks : int;
       (** sum over completion events of the trace's block count *)
-  partial_blocks : int;  (** blocks executed by partially executed traces *)
-  completed_instrs : int;
+  mutable partial_blocks : int;
+      (** blocks executed by partially executed traces *)
+  mutable completed_instrs : int;
       (** instructions executed by completed traces *)
-  partial_instrs : int;
+  mutable partial_instrs : int;
       (** instructions executed by partially executed traces *)
   signals : int;
-  traces_constructed : int;
+  mutable traces_constructed : int;
+  mutable builder_reuses : int;
+      (** reconstructions the builder satisfied with an already cached
+          trace (hash-cons hits) *)
   traces_replaced : int;
   traces_live : int;
   static_traces : int;
@@ -26,18 +38,18 @@ type t = {
   bcg_nodes : int;
   bcg_edges : int;
   ic_predictions : int;  (** profiler inline-cache hits *)
-  chained_entries : int;
+  mutable chained_entries : int;
       (** trace entries directly following another trace's completion *)
-  guards_checked : int;
+  mutable guards_checked : int;
       (** trace-position guards actually compared against the executed
           block during dispatch *)
-  guards_elided : int;
+  mutable guards_elided : int;
       (** guard positions skipped because [Trace_prover] proved them
           implied ([Trace.pruned] verdicts) *)
-  guards_pruned : int;
+  mutable guards_pruned : int;
       (** static pruning verdicts derived at install time, summed over
           constructed traces *)
-  invariant_violations : int;
+  mutable invariant_violations : int;
       (** findings of the {!Config.t.debug_checks} sweeps *)
   faults_injected : int;  (** faults the injector actually applied *)
   traces_quarantined : int;
@@ -45,7 +57,7 @@ type t = {
   traces_evicted : int;  (** capacity / allocation-pressure evictions *)
   traces_blacklisted : int;  (** entries quarantined permanently *)
   failed_installs : int;  (** injected installation failures consumed *)
-  healed_nodes : int;  (** BCG nodes repaired in place *)
+  mutable healed_nodes : int;  (** BCG nodes repaired in place *)
   health_demotions : int;
   health_promotions : int;
   final_health : int;
@@ -58,18 +70,18 @@ type t = {
   osr_promotions : int;  (** hot loops promoted mid-iteration *)
   osr_entries : int;
       (** promoted traces entered on their armed back-edge *)
-  traces_compiled : int;
+  mutable traces_compiled : int;
       (** promotions to the compiled micro-IR tier ({!Config.Tier});
           [0] with the tier off *)
-  tier_demotions : int;
+  mutable tier_demotions : int;
       (** compiled slots lost under [compile_budget] *)
-  compiled_entries : int;
+  mutable compiled_entries : int;
       (** trace entries that ran on the compiled tier *)
-  mi_positions : int;
+  mutable mi_positions : int;
       (** trace positions followed on the compiled tier *)
-  mi_ops : int;  (** micro-ops those positions dispatched *)
-  mi_fused : int;  (** superinstructions among them *)
-  mi_src_instrs : int;
+  mutable mi_ops : int;  (** micro-ops those positions dispatched *)
+  mutable mi_fused : int;  (** superinstructions among them *)
+  mutable mi_src_instrs : int;
       (** source bytecode instructions the same positions would have
           dispatched under [Backend_trace] — the baseline of the
           dispatch-cost reduction *)
@@ -77,6 +89,10 @@ type t = {
 }
 
 val zero : t
+(** All zero.  Shared: never mutate it — {!create} a live record. *)
+
+val create : unit -> t
+(** A fresh all-zero record, safe to advance in place. *)
 
 type derived = {
   total_dispatches : int;
@@ -125,6 +141,13 @@ type derived = {
     cannot drift apart. *)
 
 val derived : t -> derived
+
+type field = Int of int | Float of float
+
+val fields : t -> (string * field) list
+(** Every field of {!t}, then every field of {!derived}, each under its
+    field name — the single list flat exporters are built from.  A new
+    field of either record that is not listed there fails the build. *)
 
 val total_dispatches : t -> int
 (** Dispatches under the trace-dispatch model: blocks outside traces plus
@@ -179,21 +202,6 @@ val guards_per_kinstr : t -> float
 
 val deopt_rate : t -> float
 (** OSR deoptimizations per trace entry. *)
-
-val deopt_residue : t -> float
-(** Average trace positions abandoned past the deopt point. *)
-
-val mi_ops_per_position : t -> float
-(** Micro-ops dispatched per followed position on the compiled tier. *)
-
-val mi_src_per_position : t -> float
-(** Source instructions per position for the same positions. *)
-
-val mi_dispatch_reduction : t -> float
-(** Fraction of per-position dispatch work the lowered body removes. *)
-
-val mi_fused_share : t -> float
-(** Fraction of dispatched micro-ops that are superinstructions. *)
 
 val pp : Format.formatter -> t -> unit
 (** The resilience counters are rendered only when at least one of them

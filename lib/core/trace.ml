@@ -49,6 +49,11 @@ type t = {
          compiled-tier slot.  Derived state, never persisted — a
          restored cache re-lowers whatever the tier cost model picks,
          exactly like pruned/validated re-derive. *)
+  mutable pins : int;
+      (* execution refcount: how many dispatch loops are following this
+         trace right now (Trace_cache.pin/unpin; refcounted because a
+         Session shares one cache between members).  Runtime state,
+         never persisted. *)
 }
 
 let make ~id ~(layout : Layout.t) ~first ~blocks ~prob =
@@ -70,6 +75,7 @@ let make ~id ~(layout : Layout.t) ~first ~blocks ~prob =
     validated = false;
     promoted = false;
     lowered = None;
+    pins = 0;
   }
 
 let n_blocks t = Array.length t.blocks

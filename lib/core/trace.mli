@@ -53,6 +53,12 @@ type t = {
           state, never persisted — a restored cache re-lowers whatever
           the tier cost model picks, exactly like [pruned]/[validated]
           re-derive. *)
+  mutable pins : int;
+      (** execution refcount, maintained by [Trace_cache.pin]/[unpin]:
+          how many dispatch loops are following this trace right now
+          (several when a [Session] shares one cache).  A pinned trace
+          is never evicted, quarantined or demoted.  Runtime state,
+          never persisted. *)
 }
 
 val make :

@@ -29,10 +29,18 @@ type qentry = {
   mutable until : int; (* cache clock before a rebuild may be attempted *)
 }
 
+(* One live entry binding: the trace plus the entry's LRU stamp and heat,
+   so a dispatch hit updates one record. *)
+type entry = {
+  mutable trace : Trace.t;
+  mutable stamp : int; (* last use, on the cache's [use_clock] *)
+  mutable uses : int; (* heat: lookups plus bindings since first bound *)
+}
+
 type t = {
   layout : Layout.t;
   events : Events.t;
-  by_entry : (int, Trace.t) Hashtbl.t; (* key = first * n_blocks + head *)
+  by_entry : (int, entry) Hashtbl.t; (* key = first * n_blocks + head *)
   by_seq : (string, Trace.t) Hashtbl.t; (* structural key *)
   max_traces : int; (* live-trace cap; 0 = unbounded *)
   max_blocks : int; (* live-block cap; 0 = unbounded *)
@@ -40,14 +48,7 @@ type t = {
   heal_max_rebuilds : int;
   heal_backoff : int;
   quarantine : (int, qentry) Hashtbl.t; (* entry key -> blacklist record *)
-  pinned : (int, int) Hashtbl.t;
-      (* trace id -> execution refcount.  A pinned trace is currently
-         being followed by some engine (refcounted because the Session
-         layer shares one cache between members) and must never be
-         condemned: eviction skips it and quarantine refuses it. *)
-  last_used : (int, int) Hashtbl.t; (* entry key -> use stamp *)
-  use_count : (int, int) Hashtbl.t; (* entry key -> uses (heat) *)
-  mutable stamp : int; (* monotone use counter for LRU *)
+  mutable use_clock : int; (* monotone use counter: the LRU stamps *)
   mutable clock : int; (* engine dispatch count, drives backoff *)
   mutable session : int; (* id of the session currently dispatching; 0 solo *)
   mutable live_blocks : int; (* sum of block counts over by_entry *)
@@ -96,10 +97,7 @@ let create ?(events = Events.create ()) ?(max_traces = 0) ?(max_blocks = 0)
     heal_max_rebuilds;
     heal_backoff;
     quarantine = Hashtbl.create 16;
-    pinned = Hashtbl.create 8;
-    last_used = Hashtbl.create 256;
-    use_count = Hashtbl.create 256;
-    stamp = 0;
+    use_clock = 0;
     clock = 0;
     session = 0;
     live_blocks = 0;
@@ -151,37 +149,26 @@ let set_clock t now = t.clock <- now
    attributed.  Solo engines leave this at 0 and pay nothing. *)
 let set_session t id = t.session <- id
 
-let session t = t.session
-
-let touch t ekey =
-  t.stamp <- t.stamp + 1;
-  Hashtbl.replace t.last_used ekey t.stamp;
-  let uses =
-    match Hashtbl.find_opt t.use_count ekey with Some n -> n | None -> 0
-  in
-  Hashtbl.replace t.use_count ekey (uses + 1)
+let touch t (e : entry) =
+  t.use_clock <- t.use_clock + 1;
+  e.stamp <- t.use_clock;
+  e.uses <- e.uses + 1
 
 (* Execution pins.  The dispatch loop pins a trace for as long as it is
    being followed; eviction ([pick_victim]) and condemnation
    ([quarantine]) must never pull a trace out from under a running
    dispatch — before pinning existed nothing guarded this, and OSR makes
-   the window live (a deopt needs the trace it is abandoning intact). *)
+   the window live (a deopt needs the trace it is abandoning intact).
+   The refcount lives on the trace ([Trace.pins]), so it follows the
+   trace through rebinding. *)
 
-let pin t (tr : Trace.t) =
-  let id = tr.Trace.id in
-  let n = match Hashtbl.find_opt t.pinned id with Some n -> n | None -> 0 in
-  Hashtbl.replace t.pinned id (n + 1)
+let pin _ (tr : Trace.t) = tr.Trace.pins <- tr.Trace.pins + 1
 
-let unpin t (tr : Trace.t) =
-  let id = tr.Trace.id in
-  match Hashtbl.find_opt t.pinned id with
-  | Some n when n > 1 -> Hashtbl.replace t.pinned id (n - 1)
-  | Some _ -> Hashtbl.remove t.pinned id
-  | None -> () (* tolerate a flush between pin and unpin *)
+(* tolerate a flush between pin and unpin *)
+let unpin _ (tr : Trace.t) =
+  if tr.Trace.pins > 0 then tr.Trace.pins <- tr.Trace.pins - 1
 
-let is_pinned t (tr : Trace.t) = Hashtbl.mem t.pinned tr.Trace.id
-
-let n_pinned t = Hashtbl.length t.pinned
+let is_pinned _ (tr : Trace.t) = tr.Trace.pins > 0
 
 let n_pin_refusals t = t.pin_refusals
 
@@ -194,15 +181,16 @@ let n_demote_refusals t = t.demote_refusals
    [quarantine] does. *)
 
 let trace_uses t (tr : Trace.t) =
-  match Hashtbl.find_opt t.use_count
-          (entry_key_int t ~first:tr.Trace.first ~head:tr.Trace.blocks.(0))
+  match
+    Hashtbl.find_opt t.by_entry
+      (entry_key_int t ~first:tr.Trace.first ~head:tr.Trace.blocks.(0))
   with
-  | Some n -> n
+  | Some e -> e.uses
   | None -> 0
 
 let n_compiled t =
   Hashtbl.fold
-    (fun _ tr acc -> if tr.Trace.lowered <> None then acc + 1 else acc)
+    (fun _ e acc -> if e.trace.Trace.lowered <> None then acc + 1 else acc)
     t.by_entry 0
 
 let demote_lowered t (tr : Trace.t) =
@@ -219,14 +207,13 @@ let demote_lowered t (tr : Trace.t) =
 let coldest_compiled t ~(excluding : Trace.t option) : Trace.t option =
   let best = ref None in
   Hashtbl.iter
-    (fun _ tr ->
+    (fun _ { trace = tr; uses; _ } ->
       if
         tr.Trace.lowered <> None
         && (not (is_pinned t tr))
         && not
              (match excluding with Some e -> e == tr | None -> false)
       then
-        let uses = trace_uses t tr in
         match !best with
         | Some (_, b) when b <= uses -> ()
         | _ -> best := Some (tr, uses))
@@ -240,11 +227,11 @@ let lookup t ~prev ~cur : Trace.t option =
   else
     let ekey = entry_key_int t ~first:prev ~head:cur in
     match Hashtbl.find_opt t.by_entry ekey with
-    | Some tr ->
-        touch t ekey;
-        if tr.Trace.owner <> t.session then
+    | Some e ->
+        touch t e;
+        if e.trace.Trace.owner <> t.session then
           t.cross_entries <- t.cross_entries + 1;
-        Some tr
+        Some e.trace
     | None -> None
 
 (* Non-dispatch lookup: same binding, but no LRU touch and no
@@ -252,7 +239,10 @@ let lookup t ~prev ~cur : Trace.t option =
    use this to inspect a binding without heating it. *)
 let peek t ~first ~head : Trace.t option =
   if first < 0 then None
-  else Hashtbl.find_opt t.by_entry (entry_key_int t ~first ~head)
+  else
+    match Hashtbl.find_opt t.by_entry (entry_key_int t ~first ~head) with
+    | Some e -> Some e.trace
+    | None -> None
 
 (* Purge every by_seq binding of this exact trace.  A corrupted trace's
    sequence key is stale (the blocks changed under it), so a key lookup
@@ -267,8 +257,6 @@ let purge_seq t (tr : Trace.t) =
    table, so rebuilding it later constructs (and re-validates) it afresh. *)
 let unbind t ekey (tr : Trace.t) =
   Hashtbl.remove t.by_entry ekey;
-  Hashtbl.remove t.last_used ekey;
-  Hashtbl.remove t.use_count ekey;
   t.live_blocks <- t.live_blocks - Array.length tr.Trace.blocks;
   (* leaving the cache frees the compiled-tier slot too (no Tier_demoted
      event: the eviction/quarantine event already covers the removal) *)
@@ -291,18 +279,12 @@ let emit_evicted t ~ekey ~(tr : Trace.t) ~reason =
          })
   end
 
-let stamp_of t ekey =
-  match Hashtbl.find_opt t.last_used ekey with Some s -> s | None -> min_int
-
-let uses_of t ekey =
-  match Hashtbl.find_opt t.use_count ekey with Some n -> n | None -> 0
-
 (* Estimated i-cache bytes this entry pays per use — the footprint/heat
    ratio (shared byte model: [Footprint_model]).  A large rarely-entered
    trace scores high (bad); a hot trace of any size scores low. *)
-let footprint_score t ekey (tr : Trace.t) =
-  float_of_int (Footprint_model.trace_bytes tr)
-  /. float_of_int (1 + uses_of t ekey)
+let footprint_score (e : entry) =
+  float_of_int (Footprint_model.trace_bytes e.trace)
+  /. float_of_int (1 + e.uses)
 
 (* Pick the victim the configured policy condemns (never [keep], the
    entry just installed, and never a pinned trace): the smallest LRU
@@ -314,31 +296,29 @@ let pick_victim t ~keep =
   (match t.policy with
   | Config.Cache.Lru ->
       Hashtbl.iter
-        (fun ekey tr ->
-          if ekey <> keep && not (is_pinned t tr) then
-            let s = stamp_of t ekey in
+        (fun ekey e ->
+          if ekey <> keep && not (is_pinned t e.trace) then
             match !victim with
-            | Some (_, _, best) when best <= s -> ()
-            | _ -> victim := Some (ekey, tr, s))
+            | Some (_, best) when best.stamp <= e.stamp -> ()
+            | _ -> victim := Some (ekey, e))
         t.by_entry
   | Config.Cache.Footprint_aware ->
       let best_score = ref neg_infinity in
       Hashtbl.iter
-        (fun ekey tr ->
-          if ekey <> keep && not (is_pinned t tr) then begin
-            let score = footprint_score t ekey tr in
-            let s = stamp_of t ekey in
+        (fun ekey e ->
+          if ekey <> keep && not (is_pinned t e.trace) then begin
+            let score = footprint_score e in
             let better =
               score > !best_score
               || score = !best_score
                  &&
                  match !victim with
-                 | Some (_, _, best) -> s < best
+                 | Some (_, best) -> e.stamp < best.stamp
                  | None -> true
             in
             if better then begin
               best_score := score;
-              victim := Some (ekey, tr, s)
+              victim := Some (ekey, e)
             end
           end)
         t.by_entry);
@@ -350,10 +330,8 @@ let pick_victim t ~keep =
 let evict_one t ~keep ~reason =
   match pick_victim t ~keep with
   | None -> false
-  | Some (ekey, tr, stamp) ->
-      (* capture the victim-scoring inputs before unbind clears them *)
+  | Some (ekey, ({ trace = tr; stamp; uses = heat } : entry)) ->
       let footprint = Footprint_model.trace_bytes tr in
-      let heat = uses_of t ekey in
       unbind t ekey tr;
       t.evicted <- t.evicted + 1;
       emit_evicted t ~ekey ~tr ~reason;
@@ -386,19 +364,27 @@ let note_replaced t ~first ~head (tr : Trace.t) =
     Events.emit t.events
       (Events.Trace_replaced { first; head; trace_id = tr.Trace.id })
 
-let bind t ekey (tr : Trace.t) =
-  (match Hashtbl.find_opt t.by_entry ekey with
-  | Some old when old == tr -> ()
-  | Some old ->
-      t.live_blocks <-
-        t.live_blocks
-        - Array.length old.Trace.blocks
-        + Array.length tr.Trace.blocks;
-      Hashtbl.replace t.by_entry ekey tr
-  | None ->
-      t.live_blocks <- t.live_blocks + Array.length tr.Trace.blocks;
-      Hashtbl.replace t.by_entry ekey tr);
-  touch t ekey
+(* Bind [tr] at [ekey] and count the binding as one use.  Rebinding a
+   live entry keeps its heat: the entry, not the trace, is what gets
+   hot. *)
+let bind t ekey (tr : Trace.t) : entry =
+  let e =
+    match Hashtbl.find_opt t.by_entry ekey with
+    | Some e ->
+        t.live_blocks <-
+          t.live_blocks
+          - Array.length e.trace.Trace.blocks
+          + Array.length tr.Trace.blocks;
+        e.trace <- tr;
+        e
+    | None ->
+        t.live_blocks <- t.live_blocks + Array.length tr.Trace.blocks;
+        let e = { trace = tr; stamp = 0; uses = 0 } in
+        Hashtbl.replace t.by_entry ekey e;
+        e
+  in
+  touch t e;
+  e
 
 let install t ~first ~(blocks : Layout.gid array) ~prob : Trace.t =
   let skey = seq_key ~first ~blocks in
@@ -412,7 +398,7 @@ let install t ~first ~(blocks : Layout.gid array) ~prob : Trace.t =
           t.cross_installs <- t.cross_installs + 1;
         (* make sure it is (still) the trace bound to its entry *)
         (match Hashtbl.find_opt t.by_entry ekey with
-        | Some bound when bound == existing -> ()
+        | Some bound when bound.trace == existing -> ()
         | Some _ ->
             displaced := true;
             note_replaced t ~first ~head:blocks.(0) existing
@@ -432,7 +418,7 @@ let install t ~first ~(blocks : Layout.gid array) ~prob : Trace.t =
         | None -> ());
         tr
   in
-  bind t ekey tr;
+  ignore (bind t ekey tr : entry);
   ledger_record t ~trace_id:tr.Trace.id ~first ~head:blocks.(0)
     (Ledger.Install { replaced = !displaced; n_blocks = Array.length blocks });
   enforce_caps t ~keep:ekey;
@@ -462,7 +448,7 @@ let n_quarantine_active t =
 let quarantine t ~first ~head ~code : Trace.t option =
   let ekey = entry_key_int t ~first ~head in
   match Hashtbl.find_opt t.by_entry ekey with
-  | Some tr when is_pinned t tr ->
+  | Some e when is_pinned t e.trace ->
       (* Refuse wholly: no unbind, no blacklist record — the trace is
          being executed right now.  Under OSR the caller deopts (and
          unpins) first and retries; without OSR a later sweep or
@@ -473,7 +459,7 @@ let quarantine t ~first ~head ~code : Trace.t option =
   | bound ->
   let removed =
     match bound with
-    | Some tr ->
+    | Some { trace = tr; _ } ->
         unbind t ekey tr;
         (* not counted in [evicted] (that is capacity accounting) but
            visible in the timeline with its own reason *)
@@ -525,7 +511,7 @@ let remove t ~first ~head : Trace.t option =
   let ekey = entry_key_int t ~first ~head in
   match Hashtbl.find_opt t.by_entry ekey with
   | None -> None
-  | Some tr ->
+  | Some { trace = tr; _ } ->
       unbind t ekey tr;
       Some tr
 
@@ -581,14 +567,14 @@ type entry_snap = {
 let snapshot t : entry_snap list =
   let entries = ref [] in
   Hashtbl.iter
-    (fun ekey tr ->
+    (fun ekey { trace = tr; uses; _ } ->
       entries :=
         ( ekey,
           {
             snap_first = tr.Trace.first;
             snap_blocks = Array.copy tr.Trace.blocks;
             snap_prob = tr.Trace.prob;
-            snap_heat = uses_of t ekey;
+            snap_heat = uses;
           } )
         :: !entries)
     t.by_entry;
@@ -623,22 +609,23 @@ let restore ?promoted_below t (snaps : entry_snap list) : int =
             Hashtbl.replace t.by_seq skey tr;
             tr
       in
-      bind t ekey tr;
       (* the snapshot's heat replaces the single use [bind] just stamped *)
-      Hashtbl.replace t.use_count ekey snap.snap_heat;
+      (bind t ekey tr).uses <- snap.snap_heat;
       t.restored <- t.restored + 1;
       incr n;
       enforce_caps t ~keep:ekey)
     snaps;
   !n
 
-let iter t f = Hashtbl.iter (fun _ tr -> f tr) t.by_entry
+let iter t f = Hashtbl.iter (fun _ e -> f e.trace) t.by_entry
 
 (* Decode the packed entry key so checkers can compare the binding against
    the trace's own entry transition. *)
 let iter_entries t f =
   let n = t.layout.Layout.n_blocks in
-  Hashtbl.iter (fun key tr -> f ~first:(key / n) ~head:(key mod n) tr) t.by_entry
+  Hashtbl.iter
+    (fun key e -> f ~first:(key / n) ~head:(key mod n) e.trace)
+    t.by_entry
 
 (* All traces ever constructed (including displaced ones). *)
 let iter_all t f = Hashtbl.iter (fun _ tr -> f tr) t.by_seq
@@ -649,11 +636,9 @@ let n_restored t = t.restored
 
 let n_replaced t = t.replaced
 
-let eviction_policy t = t.policy
-
 let footprint_bytes t =
   Hashtbl.fold
-    (fun _ tr acc -> acc + Footprint_model.trace_bytes tr)
+    (fun _ e acc -> acc + Footprint_model.trace_bytes e.trace)
     t.by_entry 0
 
 let live_blocks t = t.live_blocks
@@ -673,10 +658,10 @@ let n_cross_installs t = t.cross_installs
 let n_cross_entries t = t.cross_entries
 
 let flush t =
+  (* drop every pin too: a later unpin of a flushed trace is a no-op *)
+  iter t (fun tr -> tr.Trace.pins <- 0);
+  iter_all t (fun tr -> tr.Trace.pins <- 0);
   Hashtbl.reset t.by_entry;
   Hashtbl.reset t.by_seq;
-  Hashtbl.reset t.last_used;
-  Hashtbl.reset t.use_count;
   Hashtbl.reset t.quarantine;
-  Hashtbl.reset t.pinned;
   t.live_blocks <- 0

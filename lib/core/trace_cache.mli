@@ -67,9 +67,6 @@ val set_session : t -> int -> unit
     ({!n_cross_installs} / {!n_cross_entries}).  Solo engines leave this
     at [0]. *)
 
-val session : t -> int
-(** The session id announced by the last {!set_session} ([0] initially). *)
-
 val lookup : t -> prev:Cfg.Layout.gid -> cur:Cfg.Layout.gid -> Trace.t option
 (** Dispatch lookup: the trace entered by the transition [(prev, cur)],
     if any ([prev < 0] never matches).  A hit refreshes the entry's LRU
@@ -135,7 +132,9 @@ val quarantine :
     a pinned trace is never an eviction victim, {!quarantine} refuses to
     condemn it, and {!demote_lowered} refuses to drop its compiled-tier
     body.  Pins are refcounted because the [Session] layer shares one
-    cache between members. *)
+    cache between members; the count lives on the trace
+    ({!Trace.t.pins}), so a trace displaced from its entry stays pinned
+    until its dispatch loop unpins it. *)
 
 val pin : t -> Trace.t -> unit
 (** Increment the trace's execution refcount. *)
@@ -145,9 +144,6 @@ val unpin : t -> Trace.t -> unit
     that is not pinned is a no-op ({!flush} may have dropped it). *)
 
 val is_pinned : t -> Trace.t -> bool
-
-val n_pinned : t -> int
-(** Distinct traces currently pinned. *)
 
 val n_pin_refusals : t -> int
 (** {!quarantine} condemnations refused because the bound trace was
@@ -240,8 +236,6 @@ val restore : ?promoted_below:float -> t -> entry_snap list -> int
 val n_restored : t -> int
 (** Entries rebound from snapshots by {!restore}. *)
 
-val eviction_policy : t -> Config.Cache.eviction_policy
-
 val footprint_bytes : t -> int
 (** Estimated i-cache footprint of the live cache under the shared byte
     model ([Footprint_model.trace_bytes] summed over live traces) — the
@@ -300,6 +294,7 @@ val n_cross_entries : t -> int
     Always [0] for a solo engine. *)
 
 val flush : t -> unit
-(** Empty the cache — live traces, hash-cons table and quarantine records
-    (Dynamo's bail-out; never needed by the BCG design, provided for
-    experiments).  Counters survive. *)
+(** Empty the cache — live traces, hash-cons table, quarantine records
+    and the execution pins of the dropped traces (Dynamo's bail-out;
+    never needed by the BCG design, provided for experiments).  Counters
+    survive. *)

@@ -1,144 +1,62 @@
 module Stats = Tracegen.Stats
 
 (* Machine-readable results for experiment runs and sweeps.  The JSON
-   machinery and the per-record JSONL/Chrome writers moved to [Codec]
+   machinery and the per-record JSONL/Chrome writers live in [Codec]
    (the single encode/decode module); what remains here is the
-   experiment-level exporters plus thin deprecated aliases so callers
-   that predate the split keep compiling. *)
+   experiment-level exporters. *)
 
-(* Deprecated aliases: use [Codec]. *)
-
-type json = Codec.json =
-  | J_int of int
-  | J_float of float
-  | J_string of string
-  | J_bool of bool
-  | J_null
-  | J_obj of (string * json) list
-  | J_list of json list
-
-let to_string = Codec.to_string
-
-let json_escape = Codec.json_escape
-
-let parse = Codec.parse
-
-let schema_version = Codec.schema_version
-
-let snapshot_json = Codec.snapshot_json
-
-let snapshots_jsonl = Codec.snapshots_jsonl
-
-let event_json = Codec.event_json
-
-let events_jsonl = Codec.events_jsonl
-
-let hist_json = Codec.hist_json
-
-let span_json = Codec.span_json
-
-let spans_jsonl = Codec.spans_jsonl
-
-let diag_json = Codec.diag_json
-
-let diags_jsonl = Codec.diags_jsonl
-
-let chrome_trace = Codec.chrome_trace
-
-let chrome_trace_events = Codec.chrome_trace_events
-
-(* One run's statistics, raw counts plus the paper's derived values —
-   the latter computed once through Stats.derived. *)
-let stats_json ?(extra = []) (s : Stats.t) : json =
-  let d = Stats.derived s in
-  J_obj
+(* One run's statistics: every raw count plus every derived value, in
+   Stats.fields order — one key per field of Stats.t and Stats.derived. *)
+let stats_json ?(extra = []) (s : Stats.t) : Codec.json =
+  Codec.J_obj
     (extra
-    @ [
-        ("instructions", J_int s.Stats.instructions);
-        ("block_dispatches", J_int s.Stats.block_dispatches);
-        ("trace_dispatches", J_int s.Stats.trace_dispatches);
-        ("traces_entered", J_int s.Stats.traces_entered);
-        ("traces_completed", J_int s.Stats.traces_completed);
-        ("signals", J_int s.Stats.signals);
-        ("traces_constructed", J_int s.Stats.traces_constructed);
-        ("traces_replaced", J_int s.Stats.traces_replaced);
-        ("traces_live", J_int s.Stats.traces_live);
-        ("bcg_nodes", J_int s.Stats.bcg_nodes);
-        ("bcg_edges", J_int s.Stats.bcg_edges);
-        ("chained_entries", J_int s.Stats.chained_entries);
-        ("avg_trace_length", J_float d.Stats.avg_trace_length);
-        ("dynamic_trace_length", J_float d.Stats.dynamic_trace_length);
-        ("coverage_completed", J_float d.Stats.coverage_completed);
-        ("coverage_total", J_float d.Stats.coverage_total);
-        ("completion_rate", J_float d.Stats.completion_rate);
-        ("dispatches_per_signal", J_float d.Stats.dispatches_per_signal);
-        ("trace_event_interval", J_float d.Stats.trace_event_interval);
-        ("linking_rate", J_float d.Stats.linking_rate);
-        ("dispatch_reduction", J_float d.Stats.dispatch_reduction);
-        ("invariant_violations", J_int s.Stats.invariant_violations);
-        ("faults_injected", J_int s.Stats.faults_injected);
-        ("traces_quarantined", J_int s.Stats.traces_quarantined);
-        ("traces_evicted", J_int s.Stats.traces_evicted);
-        ("traces_blacklisted", J_int s.Stats.traces_blacklisted);
-        ("failed_installs", J_int s.Stats.failed_installs);
-        ("healed_nodes", J_int s.Stats.healed_nodes);
-        ("health_demotions", J_int s.Stats.health_demotions);
-        ("health_promotions", J_int s.Stats.health_promotions);
-        ("final_health", J_int s.Stats.final_health);
-        ("quarantine_rate", J_float d.Stats.quarantine_rate);
-        ("eviction_rate", J_float d.Stats.eviction_rate);
-        ("wall_seconds", J_float s.Stats.wall_seconds);
-      ])
+    @ List.map
+        (fun (name, v) ->
+          ( name,
+            match v with
+            | Stats.Int i -> Codec.J_int i
+            | Stats.Float f -> Codec.J_float f ))
+        (Stats.fields s))
 
-let run_json (r : Experiment.run) : json =
+let run_json (r : Experiment.run) : Codec.json =
   let k = r.Experiment.key in
   stats_json
     ~extra:
       [
-        ("schema_version", J_int schema_version);
-        ("workload", J_string k.Experiment.workload);
-        ("size", J_int k.Experiment.size);
-        ("delay", J_int k.Experiment.delay);
-        ("threshold", J_float k.Experiment.threshold);
-        ("checksum", J_int r.Experiment.result_value);
+        ("schema_version", Codec.J_int Codec.schema_version);
+        ("workload", Codec.J_string k.Experiment.workload);
+        ("size", Codec.J_int k.Experiment.size);
+        ("delay", Codec.J_int k.Experiment.delay);
+        ("threshold", Codec.J_float k.Experiment.threshold);
+        ("checksum", Codec.J_int r.Experiment.result_value);
       ]
     r.Experiment.stats
+
+(* One grid point: workload [w] at its scaled bench size. *)
+let execute ~scale w ~delay ~threshold =
+  Experiment.execute
+    {
+      Experiment.workload = w.Workloads.Workload.name;
+      size = Experiment.size_for ~scale w;
+      delay;
+      threshold;
+      build_traces = true;
+    }
 
 (* The full threshold x delay grid as JSON lines (one run per line). *)
 let sweep_jsonl ?(scale = 1.0) () : string =
   let buf = Buffer.create 4096 in
+  let line run =
+    Buffer.add_string buf (Codec.to_string (run_json run));
+    Buffer.add_char buf '\n'
+  in
   List.iter
     (fun w ->
-      let size = Experiment.size_for ~scale w in
       List.iter
-        (fun threshold ->
-          let run =
-            Experiment.execute
-              {
-                Experiment.workload = w.Workloads.Workload.name;
-                size;
-                delay = 64;
-                threshold;
-                build_traces = true;
-              }
-          in
-          Buffer.add_string buf (to_string (run_json run));
-          Buffer.add_char buf '\n')
+        (fun threshold -> line (execute ~scale w ~delay:64 ~threshold))
         Experiment.thresholds;
       List.iter
-        (fun delay ->
-          let run =
-            Experiment.execute
-              {
-                Experiment.workload = w.Workloads.Workload.name;
-                size;
-                delay;
-                threshold = 0.97;
-                build_traces = true;
-              }
-          in
-          Buffer.add_string buf (to_string (run_json run));
-          Buffer.add_char buf '\n')
+        (fun delay -> line (execute ~scale w ~delay ~threshold:0.97))
         Experiment.delays)
     (Experiment.bench_workloads ());
   Buffer.contents buf
@@ -157,20 +75,9 @@ let sweep_csv ?(scale = 1.0) () : string =
      dispatches_per_signal,trace_event_interval,signals,traces_constructed\n";
   List.iter
     (fun w ->
-      let size = Experiment.size_for ~scale w in
       List.iter
         (fun threshold ->
-          let r =
-            Experiment.execute
-              {
-                Experiment.workload = w.Workloads.Workload.name;
-                size;
-                delay = 64;
-                threshold;
-                build_traces = true;
-              }
-          in
-          let s = r.Experiment.stats in
+          let s = (execute ~scale w ~delay:64 ~threshold).Experiment.stats in
           Buffer.add_string buf
             (Printf.sprintf "%s,%.2f,%d,%d,%.3f,%.4f,%.4f,%.5f,%.1f,%.1f,%d,%d\n"
                (csv_escape w.Workloads.Workload.name)

@@ -58,6 +58,14 @@ dune exec bin/repro_cli.exe -- backends --tier > /dev/null
 dune exec bin/repro_cli.exe -- chaos --spec 'guard_flip@0.05,budget=24' \
   --schedules 25 --seed 42 --quick --osr --tier
 
+# Counter reconciliation: one run in which every backend advances the
+# engine's counters — the faulted self-healing ladder demotes through
+# the profile and interp backends while OSR and the compiled tier are
+# on — must reconcile its event stream, decision ledger and end-of-run
+# statistics (the events oracle); exits non-zero on any mismatch.
+dune exec bin/repro_cli.exe -- events compress --stats-only --self-heal \
+  --fault-spec 'corrupt-trace@0.005,budget=20' --osr --tier
+
 # Hot-path attribution: the ranked report's every column must reconcile
 # exactly with the end-of-run statistics; exits non-zero on mismatch.
 dune exec bin/repro_cli.exe -- top compress > /dev/null

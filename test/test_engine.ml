@@ -166,6 +166,37 @@ let test_dispatch_per_signal_metric () =
   check Alcotest.bool "trace event interval positive" true
     (Stats.trace_event_interval s > 0.0)
 
+(* Engine.stats copies the live counter block: a record taken part-way
+   through a run is a snapshot the rest of the run does not touch, and
+   the end-of-run record of a stepped engine equals a fresh Engine.run. *)
+let test_stats_snapshot () =
+  let layout = layout_of hot_loop_body in
+  let e = Engine.create layout in
+  let h = Vm.Interp.start layout ~on_block:(Engine.on_block e) in
+  Engine.attach e h;
+  let stepped = Vm.Interp.step_blocks h 5_000 in
+  check Alcotest.bool "still running part-way" true (Vm.Interp.running h);
+  let partial =
+    {
+      Vm.Interp.outcome = Vm.Interp.Finished None;
+      instructions = 0;
+      block_dispatches = stepped;
+    }
+  in
+  let mid = Engine.stats e ~vm_result:partial ~wall_seconds:0.0 in
+  let frozen = { mid with Stats.wall_seconds = 0.0 } in
+  check Alcotest.bool "traces entered part-way" true
+    (mid.Stats.trace_dispatches > 0);
+  let vm_result = Vm.Interp.finish h in
+  let final = Engine.stats e ~vm_result ~wall_seconds:0.0 in
+  check Alcotest.bool "mid-run record unchanged by the rest of the run"
+    true (mid = frozen);
+  check Alcotest.bool "the run advanced past it" true
+    (final.Stats.trace_dispatches > mid.Stats.trace_dispatches);
+  let fresh = (Engine.run layout).Engine.run_stats in
+  check Alcotest.bool "final record = a fresh Engine.run" true
+    (final = { fresh with Stats.wall_seconds = 0.0 })
+
 let test_deterministic_stats () =
   let layout = layout_of hot_loop_body in
   let a = (Engine.run layout).Engine.run_stats in
@@ -184,6 +215,7 @@ let () =
           tc "results unchanged" `Quick test_transparency;
           tc "profile-only mode" `Quick test_profile_only_mode;
           tc "deterministic" `Quick test_deterministic_stats;
+          tc "stats is a snapshot" `Quick test_stats_snapshot;
         ] );
       ( "tracing",
         [

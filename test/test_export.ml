@@ -2,6 +2,7 @@
    consistency with the underlying stats. *)
 
 module Export = Harness.Export
+module Codec = Harness.Codec
 module Experiment = Harness.Experiment
 module Stats = Tracegen.Stats
 
@@ -9,31 +10,31 @@ let tc = Alcotest.test_case
 let check = Alcotest.check
 
 let test_json_escaping () =
-  check Alcotest.string "quotes" "a\\\"b" (Export.json_escape "a\"b");
-  check Alcotest.string "backslash" "a\\\\b" (Export.json_escape "a\\b");
-  check Alcotest.string "newline" "a\\nb" (Export.json_escape "a\nb");
-  check Alcotest.string "control" "a\\u0001b" (Export.json_escape "a\001b")
+  check Alcotest.string "quotes" "a\\\"b" (Codec.json_escape "a\"b");
+  check Alcotest.string "backslash" "a\\\\b" (Codec.json_escape "a\\b");
+  check Alcotest.string "newline" "a\\nb" (Codec.json_escape "a\nb");
+  check Alcotest.string "control" "a\\u0001b" (Codec.json_escape "a\001b")
 
 let test_json_rendering () =
   let j =
-    Export.J_obj
+    Codec.J_obj
       [
-        ("name", Export.J_string "x\"y");
-        ("n", Export.J_int 42);
-        ("f", Export.J_float 0.25);
-        ("ok", Export.J_bool true);
-        ("xs", Export.J_list [ Export.J_int 1; Export.J_int 2 ]);
+        ("name", Codec.J_string "x\"y");
+        ("n", Codec.J_int 42);
+        ("f", Codec.J_float 0.25);
+        ("ok", Codec.J_bool true);
+        ("xs", Codec.J_list [ Codec.J_int 1; Codec.J_int 2 ]);
       ]
   in
   check Alcotest.string "rendering"
     "{\"name\":\"x\\\"y\",\"n\":42,\"f\":0.25,\"ok\":true,\"xs\":[1,2]}"
-    (Export.to_string j)
+    (Codec.to_string j)
 
 let test_nan_clamped () =
   check Alcotest.string "nan becomes 0" "0"
-    (Export.to_string (Export.J_float Float.nan));
+    (Codec.to_string (Codec.J_float Float.nan));
   check Alcotest.string "inf becomes 0" "0"
-    (Export.to_string (Export.J_float Float.infinity))
+    (Codec.to_string (Codec.J_float Float.infinity))
 
 (* a crude well-formedness scan: balanced braces/brackets outside strings *)
 let json_balanced s =
@@ -67,7 +68,7 @@ let test_run_json_consistent () =
         build_traces = true;
       }
   in
-  let s = Export.to_string (Export.run_json run) in
+  let s = Codec.to_string (Export.run_json run) in
   check Alcotest.bool "balanced json" true (json_balanced s);
   (* the rendered text carries the right checksum *)
   let expected = Printf.sprintf "\"checksum\":%d" run.Experiment.result_value in
@@ -78,6 +79,56 @@ let test_run_json_consistent () =
   in
   check Alcotest.bool "checksum present" true (contains expected);
   check Alcotest.bool "workload present" true (contains "\"workload\":\"compress\"")
+
+(* run_json carries one key per field of Stats.t and one per field of
+   Stats.derived (plus the run key): nothing the record holds is left out
+   of the export.  The field counts come from the records themselves —
+   both mix int and float fields, so their block size is their field
+   count. *)
+let test_run_json_every_field () =
+  let run =
+    Experiment.execute
+      {
+        Experiment.workload = "compress";
+        size = 300;
+        delay = 64;
+        threshold = 0.97;
+        build_traces = true;
+      }
+  in
+  let kvs =
+    match Export.run_json run with
+    | Codec.J_obj kvs -> kvs
+    | _ -> Alcotest.fail "run_json is not an object"
+  in
+  let keys = List.map fst kvs in
+  let n_fields r = Obj.size (Obj.repr r) in
+  let s = run.Experiment.stats in
+  let run_key =
+    [ "schema_version"; "workload"; "size"; "delay"; "threshold"; "checksum" ]
+  in
+  check Alcotest.int "one key per Stats.t and Stats.derived field"
+    (List.length run_key + n_fields s + n_fields (Stats.derived s))
+    (List.length keys);
+  check Alcotest.int "keys are distinct" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  List.iter
+    (fun k ->
+      check Alcotest.bool (k ^ " exported") true (List.mem k keys))
+    (run_key
+    @ [
+        "completed_blocks"; "guards_checked"; "deopts"; "osr_entries";
+        "mi_src_instrs"; "static_traces"; "builder_reuses"; "wall_seconds";
+        "total_dispatches"; "guard_elision_rate"; "deopt_rate";
+        "mi_fused_share"; "avg_trace_length";
+      ]);
+  (* values come from the record: spot-check a raw count and a derived
+     value the old exporter left out *)
+  check Alcotest.bool "completed_blocks value" true
+    (List.assoc "completed_blocks" kvs = Codec.J_int s.Stats.completed_blocks);
+  check Alcotest.bool "total_dispatches value" true
+    (List.assoc "total_dispatches" kvs
+    = Codec.J_int (Stats.total_dispatches s))
 
 let test_csv_shape () =
   let csv = Export.sweep_csv ~scale:0.01 () in
@@ -108,7 +159,7 @@ let test_jsonl_shape () =
 let test_csv_escape () =
   (* exercised indirectly; check the helper semantics via a value rendered
      through stats_json instead: strings with commas survive *)
-  let j = Export.to_string (Export.J_string "a,b") in
+  let j = Codec.to_string (Codec.J_string "a,b") in
   check Alcotest.string "comma in json string" "\"a,b\"" j
 
 let () =
@@ -120,6 +171,7 @@ let () =
           tc "rendering" `Quick test_json_rendering;
           tc "nan clamped" `Quick test_nan_clamped;
           tc "run json" `Quick test_run_json_consistent;
+          tc "run json has every field" `Quick test_run_json_every_field;
         ] );
       ( "sweeps",
         [

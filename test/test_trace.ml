@@ -97,6 +97,46 @@ let test_live_count () =
   Trace_cache.flush cache;
   check Alcotest.int "flush empties the cache" 0 (Trace_cache.n_live cache)
 
+(* The pin refcount belongs to the trace, not to its entry binding: a
+   different trace installed at the same entry transition leaves the
+   displaced (still executing) trace pinned until it is unpinned. *)
+let test_pin_survives_rebinding () =
+  let l = Lazy.force layout in
+  let cache = Trace_cache.create l in
+  let a = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  Trace_cache.pin cache a;
+  let b = Trace_cache.install cache ~first:0 ~blocks:[| 1; 0 |] ~prob:1.0 in
+  check Alcotest.bool "entry rebound to the new trace" true
+    (match Trace_cache.peek cache ~first:0 ~head:1 with
+    | Some t -> t == b
+    | None -> false);
+  check Alcotest.bool "displaced trace still pinned" true
+    (Trace_cache.is_pinned cache a);
+  check Alcotest.bool "new trace not pinned" false
+    (Trace_cache.is_pinned cache b);
+  Trace_cache.unpin cache a;
+  check Alcotest.bool "unpinned" false (Trace_cache.is_pinned cache a)
+
+(* flush drops every pin; an unpin arriving afterwards (a dispatch that
+   was following a flushed trace) is a no-op, and the count does not go
+   negative — a fresh pin still protects *)
+let test_unpin_after_flush () =
+  let l = Lazy.force layout in
+  let cache = Trace_cache.create l in
+  let a = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  Trace_cache.pin cache a;
+  Trace_cache.flush cache;
+  check Alcotest.bool "flush drops the pin" false
+    (Trace_cache.is_pinned cache a);
+  Trace_cache.unpin cache a;
+  check Alcotest.bool "unpin after flush is a no-op" false
+    (Trace_cache.is_pinned cache a);
+  Trace_cache.pin cache a;
+  check Alcotest.bool "a fresh pin still counts" true
+    (Trace_cache.is_pinned cache a);
+  Trace_cache.unpin cache a;
+  check Alcotest.bool "and releases" false (Trace_cache.is_pinned cache a)
+
 let test_completion_rate () =
   let l = Lazy.force layout in
   let tr = Trace.make ~id:0 ~layout:l ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
@@ -128,5 +168,7 @@ let () =
           tc "hash consing" `Quick test_hash_consing;
           tc "replacement" `Quick test_replacement;
           tc "live count and flush" `Quick test_live_count;
+          tc "pin survives rebinding" `Quick test_pin_survives_rebinding;
+          tc "unpin after flush" `Quick test_unpin_after_flush;
         ] );
     ]
