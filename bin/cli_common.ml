@@ -42,6 +42,25 @@ let engine_config ?snapshot_period ?obs_spans ?obs_attribution ?prune_guards
         ~fault_seed ~self_heal ~debug_checks:self_heal ~osr ~tier
         ?snapshot_period ?obs_spans ?obs_attribution ?prune_guards ())
 
+(* Print one "# ok:" / "# MISMATCH:" line per reconciliation check on
+   stderr; [source] names what the checked side counted ("timeline",
+   "report").  True iff every check agreed. *)
+let report_checks ~source (checks : Harness.Oracle.check list) =
+  List.fold_left
+    (fun ok (c : Harness.Oracle.check) ->
+      if Harness.Oracle.check_ok c then begin
+        Printf.eprintf "# ok: %s (%d)\n" c.Harness.Oracle.name
+          c.Harness.Oracle.got;
+        ok
+      end
+      else begin
+        Printf.eprintf "# MISMATCH: %s (%s %d, stats %d)\n"
+          c.Harness.Oracle.name source c.Harness.Oracle.got
+          c.Harness.Oracle.want;
+        false
+      end)
+    true checks
+
 (* shared argument definitions *)
 
 let workload_arg =

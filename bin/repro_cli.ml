@@ -107,10 +107,10 @@ let run_cmd workload size threshold delay fault_spec fault_seed self_heal
 (* ------------------------------------------------------------------ *)
 
 (* Replay a workload with the event stream enabled and dump the timeline
-   as JSON lines on stdout.  After the run the per-kind event totals and
-   the decision-ledger aggregates are checked against the end-of-run
-   statistics (Harness.Oracle): the stream, the ledger and the counters
-   are three views of the same execution and must agree exactly. *)
+   as JSON lines on stdout.  After the run the per-kind event totals are
+   checked against the end-of-run statistics, and the decision ledger
+   against the stream it retains (Harness.Oracle): they are views of the
+   same execution and must agree exactly. *)
 let events_cmd workload size threshold delay fault_spec fault_seed self_heal
     osr tier snapshot_period stats_only =
   let module Events = Tracegen.Events in
@@ -176,21 +176,7 @@ let events_cmd workload size threshold delay fault_spec fault_seed self_heal
     in
     prerr_string (Harness.Report.hist_summary hists)
   end;
-  let ok =
-    List.fold_left
-      (fun ok (c : Oracle.check) ->
-        if Oracle.check_ok c then begin
-          Printf.eprintf "# ok: %s (%d)\n" c.Oracle.name c.Oracle.got;
-          ok
-        end
-        else begin
-          Printf.eprintf "# MISMATCH: %s (timeline %d, stats %d)\n"
-            c.Oracle.name c.Oracle.got c.Oracle.want;
-          false
-        end)
-      true checks
-  in
-  if not ok then exit 1
+  if not (Cli_common.report_checks ~source:"timeline" checks) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* table                                                                *)
@@ -684,15 +670,13 @@ let top_cmd workload size threshold delay prune_guards tier top json =
              ]);
         print_newline ()
       end;
-      List.iter
-        (fun (name, got, want) ->
-          if got = want then Printf.eprintf "# ok: %s (%d)\n" name got
-          else begin
-            incr failures;
-            Printf.eprintf "# MISMATCH: %s (report %d, stats %d)\n" name got
-              want
-          end)
-        (Harness.Report.checks report engine s))
+      let checks =
+        List.map
+          (fun (name, got, want) -> { Harness.Oracle.name; got; want })
+          (Harness.Report.checks report engine s)
+      in
+      if not (Cli_common.report_checks ~source:"report" checks) then
+        incr failures)
     ws;
   if !failures > 0 then exit 1
 
@@ -895,47 +879,12 @@ let postmortem_cmd file =
 (* explain                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let describe_ledger_action (a : Tracegen.Ledger.action) : string =
-  let module L = Tracegen.Ledger in
-  match a with
-  | L.Build { new_traces; reused; pruned } ->
-      Printf.sprintf "builder: %d new trace(s), %d reused, %d guard(s) pruned"
-        new_traces reused pruned
-  | L.Install { replaced; n_blocks } ->
-      Printf.sprintf "installed (%d block(s)%s)" n_blocks
-        (if replaced then ", replacing a predecessor" else "")
-  | L.Guard_prune { pruned } ->
-      Printf.sprintf "implication proofs elided %d guard(s)" pruned
-  | L.Quarantine { code; attempts; until; permanent } ->
-      Printf.sprintf "quarantined (%s, attempt %d, %s)" code attempts
-        (if permanent then "blacklisted"
-         else Printf.sprintf "until tick %d" until)
-  | L.Evict { reason; footprint; heat; stamp } ->
-      Printf.sprintf
-        "evicted (%s; footprint %d bytes, heat %d, last used tick %d)"
-        reason footprint heat stamp
-  | L.Compile { heat; compile_after; budget; n_compiled } ->
-      Printf.sprintf
-        "compiled to micro-IR (heat %d >= threshold %d, budget slot %d/%d)"
-        heat compile_after n_compiled budget
-  | L.Demote { heat; winner_heat } ->
-      Printf.sprintf
-        "demoted from the compiled tier (heat %d, displaced by heat %d)"
-        heat winner_heat
-  | L.Osr_promote { header; latch; hotness } ->
-      Printf.sprintf "OSR-promoted loop header %d (latch %d, hotness %d)"
-        header latch hotness
-  | L.Deopt { at_pos; resume; residue; reason } ->
-      Printf.sprintf
-        "deopt at trace position %d (%s), resumed at block %d with %d \
-         residue block(s)"
-        at_pos reason resume residue
-
-(* Replay a workload and narrate the decision ledger: why a trace (or an
-   entry-key block) was built, installed, compiled, evicted, quarantined
-   — each record linked to its span id and dispatch tick.  The ledger
-   aggregates are then reconciled against the end-of-run statistics
-   (Harness.Oracle); exit 1 on any drift. *)
+(* Replay a workload and narrate its decision ledger: the run's
+   decision events — why a trace (or an entry-key block) was built,
+   replaced, compiled, evicted, quarantined — each with its dispatch
+   tick and the span it happened under.  The run is then reconciled
+   (Harness.Oracle: the event checks and the ledger fold); exit 1 on any
+   drift. *)
 let explain_cmd workload size threshold delay fault_spec fault_seed self_heal
     osr tier trace_id block =
   let module L = Tracegen.Ledger in
@@ -946,7 +895,9 @@ let explain_cmd workload size threshold delay fault_spec fault_seed self_heal
     Cli_common.engine_config ~threshold ~delay ~fault_spec ~fault_seed
       ~self_heal ~osr ~tier ()
   in
-  let result = Tracegen.Engine.run ~config layout in
+  let events = Tracegen.Events.create () in
+  let tally = Oracle.attach events in
+  let result = Tracegen.Engine.run ~config ~events layout in
   let engine = result.Tracegen.Engine.engine in
   let s = result.Tracegen.Engine.run_stats in
   let ledger =
@@ -966,32 +917,23 @@ let explain_cmd workload size threshold delay fault_spec fault_seed self_heal
     (L.length ledger) what;
   List.iter
     (fun (r : L.record) ->
-      Printf.printf "  seq=%-5d tick=%-8d span=%-4d trace=%-4d %s\n" r.L.seq
-        r.L.tick r.L.span r.L.trace_id
-        (describe_ledger_action r.L.action))
+      let e = r.L.event in
+      Printf.printf "  seq=%-5d tick=%-8d span=%-4d %-17s %s\n" r.L.seq
+        e.Tracegen.Events.time r.L.span
+        (Tracegen.Events.kind e.Tracegen.Events.payload)
+        (Harness.Postmortem.payload_fields e.Tracegen.Events.payload))
     records;
-  Printf.printf "\naction totals:";
+  Printf.printf "\ndecision totals:";
   List.iter
     (fun (kind, n) -> Printf.printf " %s=%d" kind n)
     (L.totals ledger);
   print_newline ();
-  (* the ledger must reconcile with Stats no matter what was asked *)
-  let ok =
-    List.fold_left
-      (fun ok (c : Oracle.check) ->
-        if Oracle.check_ok c then begin
-          Printf.eprintf "# ok: %s (%d)\n" c.Oracle.name c.Oracle.got;
-          ok
-        end
-        else begin
-          Printf.eprintf "# MISMATCH: %s (ledger %d, stats %d)\n"
-            c.Oracle.name c.Oracle.got c.Oracle.want;
-          false
-        end)
-      true
-      (Oracle.ledger_checks ledger ~engine s)
-  in
-  if not ok then exit 1
+  (* the run must reconcile no matter what was asked *)
+  if
+    not
+      (Cli_common.report_checks ~source:"timeline"
+         (Oracle.run_checks tally ~engine s))
+  then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* bench-diff                                                           *)
@@ -1432,7 +1374,9 @@ let explain_term =
   in
   let block =
     Arg.(value & opt (some int) None & info [ "block" ] ~docv:"GID"
-           ~doc:"Only the records whose entry key involves block $(docv).")
+           ~doc:
+             "Only the records naming block $(docv) (as entry, head, loop \
+              header or latch), plus every record of a trace they name.")
   in
   Term.(
     const explain_cmd $ workload_arg $ size_arg $ threshold_arg $ delay_arg
@@ -1442,12 +1386,14 @@ let explain_term =
 let () =
   Cli_common.Subcommand.register ~name:"explain"
     ~doc:
-      "Replay a workload and narrate its decision ledger: why each trace \
-       was built, installed, compiled, demoted, evicted or quarantined, \
-       with the victim-scoring and budget inputs that justified the \
-       decision, each record linked to its causal span and dispatch tick.  \
-       The ledger's aggregates are reconciled against the end-of-run \
-       statistics (stderr, non-zero exit on drift)."
+      "Replay a workload and narrate its decision ledger, the run's \
+       decision events: why each trace was built, replaced, compiled, \
+       demoted, evicted or quarantined, with the victim-scoring and budget \
+       inputs that justified the decision, each record linked to its \
+       causal span and dispatch tick.  The run is reconciled like \
+       $(b,events): every event kind against the end-of-run statistics, \
+       and the ledger's per-kind totals against the stream (stderr, \
+       non-zero exit on drift)."
     explain_term
 
 let bench_diff_term =

@@ -37,7 +37,6 @@ type ctx = {
     (* the always-on black box (None only when
        Config.Obs.flightrec_capacity = 0); dump triggers fire here and
        in the engine, the intake is wired through the event tap *)
-  ledger : Ledger.t option; (* None = decision ledger off *)
   attr_self : int array;
     (* per-gid dispatches outside traces; [||] = attribution off *)
   attr_inlined : int array; (* per-gid executions inlined inside traces *)
@@ -112,11 +111,6 @@ let count_violation ctx =
 let fr_trigger ctx reason =
   match ctx.flightrec with
   | Some fr -> Flightrec.trigger fr reason
-  | None -> ()
-
-let ledger_record ctx ?trace_id ?first ?head action =
-  match ctx.ledger with
-  | Some l -> Ledger.record l ?trace_id ?first ?head action
   | None -> ()
 
 (* Attribution bumps; the arrays are [||] when Config.Obs.attribution is
@@ -289,17 +283,7 @@ let deopt ctx (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
            resume_block = resume;
            residue_blocks = residue;
            reason = Osr.reason_to_string reason;
-         });
-  ledger_record ctx ~trace_id:tr.Trace.id
-    ~first:(fst (Trace.entry_key tr))
-    ~head:(snd (Trace.entry_key tr))
-    (Ledger.Deopt
-       {
-         at_pos = at;
-         resume;
-         residue;
-         reason = Osr.reason_to_string reason;
-       })
+         })
 
 (* Mid-flight cut-over: deoptimize the currently executing trace (a
    sweep is condemning it).  Between dispatches there is no mismatching
@@ -409,6 +393,35 @@ let run_debug_checks ctx =
     | None -> ());
     ctx.in_debug_sweep <- false
   end
+
+(* One trace-builder invocation — a profiler signal or an OSR promotion
+   — under a Trace_build span.  [run] builds (feeding the builder-path
+   histogram) and its outcome is folded into the counters; [settle] then
+   finishes the caller's side of the decision and says whether this was
+   a construction boundary, which gets the invariant sweep (when armed)
+   before the span closes. *)
+let build ctx ~label ~run ~settle =
+  let span =
+    match ctx.spans with
+    | Some s ->
+        Spans.begin_span s ~kind:Spans.Trace_build ~label:(label ())
+          ~now:(clock ctx)
+    | None -> -1
+  in
+  let outcome, built = run ~on_path:(Metrics.record ctx.h_build_len) in
+  let c = ctx.stats in
+  c.Stats.traces_constructed <-
+    c.Stats.traces_constructed + outcome.Trace_builder.new_traces;
+  c.Stats.builder_reuses <-
+    c.Stats.builder_reuses + outcome.Trace_builder.reused_traces;
+  c.Stats.guards_pruned <-
+    c.Stats.guards_pruned + outcome.Trace_builder.pruned_guards;
+  if settle outcome built && Config.debug_checks ctx.config then
+    run_debug_checks ctx;
+  (match ctx.spans with
+  | Some s -> Spans.end_span s span ~now:(clock ctx)
+  | None -> ());
+  built
 
 let note_executed ctx g =
   ctx.prev2 <- ctx.prev;

@@ -44,9 +44,6 @@ type ctx = {
           the invariant sweep, the ladder bottom and snapshot
           rejection; the intake rides the event tap and the span
           close hook. *)
-  ledger : Ledger.t option;
-      (** decision-attribution ledger; [None] when [Config.Obs.ledger]
-          is off *)
   attr_self : int array;
       (** per-gid dispatches outside any trace; [[||]] when
           [Config.Obs.attribution] is off *)
@@ -140,15 +137,6 @@ val fr_trigger : ctx -> Flightrec.dump_reason -> unit
 (** Fire a flight-recorder dump trigger; no-op when the recorder is
     disarmed. *)
 
-val ledger_record :
-  ctx ->
-  ?trace_id:int ->
-  ?first:int ->
-  ?head:int ->
-  Ledger.action ->
-  unit
-(** Append a decision record; no-op when the ledger is off. *)
-
 val attr_step : ctx -> Cfg.Layout.gid -> unit
 (** Attribute one outside-trace dispatch of [g]; no-op when attribution
     is off. *)
@@ -183,6 +171,20 @@ val run_debug_checks : ctx -> unit
     seen yet ([Trace_prover.validate_new] — TL212–TL218).  Under
     self-healing the sweep heals flagged BCG nodes, quarantines flagged
     traces and strikes the ladder.  Re-entrancy guarded. *)
+
+val build :
+  ctx ->
+  label:(unit -> string) ->
+  run:(on_path:(int -> unit) -> Trace_builder.outcome * 'a) ->
+  settle:(Trace_builder.outcome -> 'a -> bool) ->
+  'a
+(** The build glue shared by profiler signals and OSR promotions: open a
+    [Trace_build] span labelled [label ()] (when spans are on), [run]
+    the builder with [on_path] feeding [h_build_len], fold the outcome
+    into [traces_constructed] / [builder_reuses] / [guards_pruned],
+    then call [settle].  When [settle] returns [true] the call was a
+    construction boundary and the invariant sweep runs (under
+    [debug_checks]) before the span closes.  Returns [run]'s result. *)
 
 val finish_completed : ctx -> Trace.t -> unit
 (** End the active trace after a completion and resync the profiler. *)

@@ -48,69 +48,35 @@ let enter (ctx : Backend.ctx) (tr : Trace.t) g =
 
 (* OSR mid-loop promotion: a hot header crossed its threshold while we
    were dispatching blocks — build its loop trace immediately, so the
-   very next latch->header transition enters it.  Mirrors the engine's
-   signal glue (span, counter folding, construction-boundary sweep), but
-   fires from the dispatch loop rather than a profiler signal. *)
+   very next latch->header transition enters it.  The same build glue
+   as a profiler signal (span, counter folding), fired from the
+   dispatch loop; only a promotion that constructed a new trace is a
+   construction boundary for the invariant sweep. *)
 let promote_loop (ctx : Backend.ctx) (osr : Osr.t) header ~hotness =
-  let span =
-    match ctx.Backend.spans with
-    | Some s ->
-        Spans.begin_span s ~kind:Spans.Trace_build
-          ~label:(Printf.sprintf "osr promote header %d" header)
-          ~now:(Backend.clock ctx)
-    | None -> -1
+  let installed =
+    Backend.build ctx
+      ~label:(fun () -> Printf.sprintf "osr promote header %d" header)
+      ~run:(fun ~on_path ->
+        Trace_builder.promote ~events:ctx.Backend.events ~on_path
+          ctx.Backend.config ctx.Backend.cache
+          (Profiler.bcg ctx.Backend.profiler)
+          ~header)
+      ~settle:(fun outcome installed ->
+        (match installed with
+        | Some tr ->
+            Osr.note_promotion osr ~trace_id:tr.Trace.id;
+            if Events.enabled ctx.Backend.events then
+              Events.emit ctx.Backend.events
+                (Events.Osr_promoted
+                   {
+                     trace_id = tr.Trace.id;
+                     header;
+                     latch = tr.Trace.first;
+                     hotness;
+                   })
+        | None -> ());
+        outcome.Trace_builder.new_traces > 0)
   in
-  let outcome, installed =
-    Trace_builder.promote ~events:ctx.Backend.events
-      ~on_path:(fun n -> Metrics.record ctx.Backend.h_build_len n)
-      ctx.Backend.config ctx.Backend.cache
-      (Profiler.bcg ctx.Backend.profiler)
-      ~header
-  in
-  let c = ctx.Backend.stats in
-  c.Stats.traces_constructed <-
-    c.Stats.traces_constructed + outcome.Trace_builder.new_traces;
-  c.Stats.builder_reuses <-
-    c.Stats.builder_reuses + outcome.Trace_builder.reused_traces;
-  c.Stats.guards_pruned <-
-    c.Stats.guards_pruned + outcome.Trace_builder.pruned_guards;
-  let installed_id =
-    match installed with Some tr -> tr.Trace.id | None -> -1
-  in
-  Backend.ledger_record ctx ~trace_id:installed_id ~head:header
-    (Ledger.Build
-       {
-         new_traces = outcome.Trace_builder.new_traces;
-         reused = outcome.Trace_builder.reused_traces;
-         pruned = outcome.Trace_builder.pruned_guards;
-       });
-  if outcome.Trace_builder.pruned_guards > 0 then
-    Backend.ledger_record ctx ~trace_id:installed_id ~head:header
-      (Ledger.Guard_prune { pruned = outcome.Trace_builder.pruned_guards });
-  (match installed with
-  | Some tr ->
-      Osr.note_promotion osr ~trace_id:tr.Trace.id;
-      if Events.enabled ctx.Backend.events then
-        Events.emit ctx.Backend.events
-          (Events.Osr_promoted
-             {
-               trace_id = tr.Trace.id;
-               header;
-               latch = tr.Trace.first;
-               hotness;
-             });
-      Backend.ledger_record ctx ~trace_id:tr.Trace.id
-        ~first:tr.Trace.first ~head:header
-        (Ledger.Osr_promote { header; latch = tr.Trace.first; hotness })
-  | None -> ());
-  (* trace-construction boundary *)
-  if
-    outcome.Trace_builder.new_traces > 0
-    && Config.debug_checks ctx.Backend.config
-  then Backend.run_debug_checks ctx;
-  (match ctx.Backend.spans with
-  | Some s -> Spans.end_span s span ~now:(Backend.clock ctx)
-  | None -> ());
   installed <> None
 
 (* Returns whether a promotion installed a trace, so [step] knows to

@@ -202,9 +202,10 @@ module Obs : sig
             chaos divergence, snapshot rejection or degradation to
             interp-only.  0 disarms it entirely. *)
     ledger : bool;
-        (** Append a decision-attribution record ({!Ledger}) on every
-            consequential engine action.  On by default; the cost is
-            proportional to those rare actions, not to dispatch. *)
+        (** Retain the run's decision events in the ledger
+            ({!Ledger}).  Arming it enables the event stream, like the
+            flight recorder.  On by default; the retention cost is
+            proportional to those rare events, not to dispatch. *)
   }
 
   val default : t

@@ -74,6 +74,7 @@ let select config (level : Health.level) : backend_kind =
 
 type t = {
   ctx : Backend.ctx;
+  ledger : Ledger.t option; (* None = decision ledger off *)
   pinned : bool; (* backend forced at creation: never re-selected *)
   mutable kind : backend_kind;
   mutable kind_level : Health.level; (* level [kind] was selected from *)
@@ -175,7 +176,7 @@ let register_gauges (m : Metrics.t) (t : t) =
       Metrics.gauge m "flightrec_recorded" (fun () -> Flightrec.recorded fr);
       Metrics.gauge m "flightrec_dumps" (fun () -> Flightrec.dumps fr)
   | None -> ());
-  match e.Backend.ledger with
+  match t.ledger with
   | Some l -> Metrics.gauge m "ledger_records" (fun () -> Ledger.length l)
   | None -> ()
 
@@ -227,10 +228,12 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       Some (Osr.create ~promote_after:(Config.osr_promote_after config) layout)
     else None
   in
-  (* The black box and the decision ledger.  The recorder's intake taps
-     the event stream out of band (it is not a subscriber: a run with an
-     armed recorder still reports its stream quiet to user code) and
-     rides the span close hook when spans are on. *)
+  (* The black box and the decision ledger share one intake: a tap on
+     the event stream, out of band (it is not a subscriber: a run with
+     an armed recorder or ledger still reports its stream quiet to user
+     code).  The recorder keeps every event, the ledger the decisions,
+     each stamped with the innermost open span.  The recorder also rides
+     the span close hook when spans are on. *)
   let flightrec =
     let cap = Config.flightrec_capacity config in
     if cap > 0 then Some (Flightrec.create ~capacity:cap) else None
@@ -238,18 +241,27 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
   let ledger =
     if Config.ledger_enabled config then Some (Ledger.create ()) else None
   in
-  (match flightrec with
-  | Some fr ->
-      Events.set_tap events (Flightrec.record_event fr);
-      (match spans with
-      | Some s ->
-          Spans.set_on_close s (fun (sp : Spans.span) ->
-              Flightrec.record_span_closed fr ~time:sp.Spans.end_time
-                ~id:sp.Spans.id ~parent:sp.Spans.parent
-                ~kind:(Spans.kind_to_string sp.Spans.kind)
-                ~label:sp.Spans.label ~start_time:sp.Spans.start_time)
-      | None -> ())
-  | None -> ());
+  (match (flightrec, ledger) with
+  | None, None -> ()
+  | _ ->
+      Events.set_tap events (fun ev ->
+          (match flightrec with
+          | Some fr -> Flightrec.record_event fr ev
+          | None -> ());
+          match ledger with
+          | Some l ->
+              Ledger.note l
+                ~span:(match spans with Some s -> Spans.current s | None -> -1)
+                ev
+          | None -> ()));
+  (match (flightrec, spans) with
+  | Some fr, Some s ->
+      Spans.set_on_close s (fun (sp : Spans.span) ->
+          Flightrec.record_span_closed fr ~time:sp.Spans.end_time
+            ~id:sp.Spans.id ~parent:sp.Spans.parent
+            ~kind:(Spans.kind_to_string sp.Spans.kind)
+            ~label:sp.Spans.label ~start_time:sp.Spans.start_time)
+  | _ -> ());
   (* The profiler's signal callback closes over the shared dispatch
      context; tie the knot with a forward reference. *)
   let context = ref None in
@@ -257,63 +269,17 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     match !context with
     | None -> ()
     | Some (e : Backend.ctx) ->
-        if Config.build_traces e.Backend.config then begin
-          let build_span =
-            match e.Backend.spans with
-            | Some s ->
-                let n = signal.Bcg.s_node in
-                Spans.begin_span s ~kind:Spans.Trace_build
-                  ~label:
-                    (Printf.sprintf "build N_%d,%d" n.Bcg.n_x n.Bcg.n_y)
-                  ~now:(Backend.clock e)
-            | None -> -1
-          in
-          let outcome =
-            Trace_builder.on_signal ~events
-              ~on_path:(fun n -> Metrics.record e.Backend.h_build_len n)
-              e.Backend.config e.Backend.cache signal
-          in
-          let c = e.Backend.stats in
-          c.Stats.traces_constructed <-
-            c.Stats.traces_constructed + outcome.Trace_builder.new_traces;
-          c.Stats.builder_reuses <-
-            c.Stats.builder_reuses + outcome.Trace_builder.reused_traces;
-          c.Stats.guards_pruned <-
-            c.Stats.guards_pruned + outcome.Trace_builder.pruned_guards;
-          (* attribute the builder outcome (skip all-quiet signals: a
-             signal that built, reused or pruned nothing decided
-             nothing) *)
-          if
-            outcome.Trace_builder.new_traces > 0
-            || outcome.Trace_builder.reused_traces > 0
-            || outcome.Trace_builder.pruned_guards > 0
-          then begin
-            let n = signal.Bcg.s_node in
-            let first = n.Bcg.n_x and head = n.Bcg.n_y in
-            let trace_id =
-              match Trace_cache.peek e.Backend.cache ~first ~head with
-              | Some tr -> tr.Trace.id
-              | None -> -1
-            in
-            Backend.ledger_record e ~trace_id ~first ~head
-              (Ledger.Build
-                 {
-                   new_traces = outcome.Trace_builder.new_traces;
-                   reused = outcome.Trace_builder.reused_traces;
-                   pruned = outcome.Trace_builder.pruned_guards;
-                 });
-            if outcome.Trace_builder.pruned_guards > 0 then
-              Backend.ledger_record e ~trace_id ~first ~head
-                (Ledger.Guard_prune
-                   { pruned = outcome.Trace_builder.pruned_guards })
-          end;
-          (* trace-construction boundary *)
-          if Config.debug_checks e.Backend.config then
-            Backend.run_debug_checks e;
-          match e.Backend.spans with
-          | Some s -> Spans.end_span s build_span ~now:(Backend.clock e)
-          | None -> ()
-        end
+        (* every signal is a trace-construction boundary *)
+        if Config.build_traces e.Backend.config then
+          Backend.build e
+            ~label:(fun () ->
+              let n = signal.Bcg.s_node in
+              Printf.sprintf "build N_%d,%d" n.Bcg.n_x n.Bcg.n_y)
+            ~run:(fun ~on_path ->
+              ( Trace_builder.on_signal ~events ~on_path e.Backend.config
+                  e.Backend.cache signal,
+                () ))
+            ~settle:(fun _ () -> true)
   in
   let profiler =
     Profiler.create ~events config ~n_blocks:layout.Layout.n_blocks ~on_signal
@@ -331,7 +297,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       osr;
       spans;
       flightrec;
-      ledger;
       attr_self =
         (if Config.obs_attribution config then
            Array.make layout.Layout.n_blocks 0
@@ -359,18 +324,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     }
   in
   context := Some ctx;
-  (* the ledger stamps each record with the dispatch tick and the
-     innermost open span at record time *)
-  (match ledger with
-  | Some l ->
-      Ledger.set_sources l
-        ~tick:(fun () -> Backend.clock ctx)
-        ~span:(fun () ->
-          match ctx.Backend.spans with
-          | Some s -> Spans.current s
-          | None -> -1);
-      Trace_cache.set_ledger cache l
-  | None -> ());
   let kind, pinned =
     match backend with
     | Some k -> (k, true)
@@ -379,6 +332,7 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
   let t =
     {
       ctx;
+      ledger;
       pinned;
       kind;
       kind_level = Health.level health;
@@ -443,7 +397,7 @@ let spans t = t.ctx.Backend.spans
 
 let flightrec t = t.ctx.Backend.flightrec
 
-let ledger t = t.ctx.Backend.ledger
+let ledger t = t.ledger
 
 let attr_self t = t.ctx.Backend.attr_self
 

@@ -65,6 +65,9 @@ type payload =
       head : Cfg.Layout.gid;
       n_live : int;
       reason : evict_reason;
+      footprint : int;
+      heat : int;
+      stamp : int;
     }
   | Mode_degraded of { from_level : Health.level; to_level : Health.level }
   | Mode_recovered of { from_level : Health.level; to_level : Health.level }
@@ -94,10 +97,15 @@ type payload =
       ops : int; (* micro-ops in the lowered body *)
       fused : int; (* superinstructions formed *)
       src_instrs : int; (* source bytecode instructions lowered *)
+      heat : int; (* cache heat that crossed compile_after *)
+      compile_after : int;
+      budget : int;
+      n_compiled : int; (* compiled traces, this one included *)
     }
   | Tier_demoted of {
       trace_id : int;
       uses : int; (* cache heat at demotion — the losing bid *)
+      winner_heat : int; (* heat of the candidate that took the slot *)
     }
 
 type event = { time : int; payload : payload }
@@ -111,7 +119,7 @@ type t = {
   mutable now : int;
   mutable emitted : int;
   mutable tap : (event -> unit) option;
-      (* out-of-band observer (the flight recorder): sees every event
+      (* out-of-band observer (the recorder/ledger intake): sees every event
          but does not count as a subscriber — [emitted] and
          [n_subscribers] are unaffected, so a tapped-but-unsubscribed
          stream still reports itself quiet to user code *)
@@ -132,8 +140,6 @@ let unsubscribe t id = t.subs <- List.filter (fun (i, _) -> i <> id) t.subs
 let n_subscribers t = List.length t.subs
 
 let set_tap t f = t.tap <- Some f
-
-let clear_tap t = t.tap <- None
 
 let set_now t n = t.now <- n
 
@@ -175,3 +181,18 @@ let kind = function
   | Osr_promoted _ -> "osr_promoted"
   | Trace_compiled _ -> "trace_compiled"
   | Tier_demoted _ -> "tier_demoted"
+
+(* The decisions: the events a trace-cache policy is made of (builds,
+   installs, replacements, guard pruning, quarantines, evictions, tier
+   moves, OSR promotions and deopts).  The decision ledger retains
+   exactly these. *)
+let is_decision = function
+  | Trace_constructed _ | Trace_replaced _ | Guards_pruned _
+  | Trace_quarantined _ | Trace_evicted _ | Trace_compiled _ | Tier_demoted _
+  | Osr_promoted _ | Deopt_entered _ ->
+      true
+  | Signal_raised _ | Trace_entered _ | Side_exit _ | Trace_completed _
+  | Decay_pass _ | Phase_snapshot _ | Invariant_violation _
+  | Fault_injected _ | Mode_degraded _ | Mode_recovered _ | Cache_restored _
+  | Snapshot_rejected _ ->
+      false

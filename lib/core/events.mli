@@ -120,6 +120,10 @@ type payload =
       head : Cfg.Layout.gid;
       n_live : int;  (** live traces after the eviction *)
       reason : evict_reason;  (** why the trace left the cache *)
+      footprint : int;
+          (** the victim's estimated bytes ({!Footprint_model}) *)
+      heat : int;  (** the victim entry's use count *)
+      stamp : int;  (** the victim entry's last-use LRU stamp *)
     }
       (** A trace was removed from the cache: capacity pressure
           ({!Config.Cache}), an injected allocation-pressure fault, or a
@@ -186,6 +190,10 @@ type payload =
       ops : int;  (** micro-ops in the lowered body *)
       fused : int;  (** superinstructions formed *)
       src_instrs : int;  (** source bytecode instructions lowered *)
+      heat : int;  (** the entry's use count that justified promotion *)
+      compile_after : int;  (** the promotion threshold it crossed *)
+      budget : int;  (** compiled-tier slots available *)
+      n_compiled : int;  (** compiled traces, this one included *)
     }
       (** The tier cost model promoted a hot trace to the compiled tier:
           its blocks were lowered to register micro-IR
@@ -193,6 +201,7 @@ type payload =
   | Tier_demoted of {
       trace_id : int;
       uses : int;  (** cache heat at demotion — the losing bid *)
+      winner_heat : int;  (** heat of the candidate that took the slot *)
     }
       (** A compiled trace lost its compiled-tier slot to a hotter
           candidate under [compile_budget]; its lowered body was
@@ -223,14 +232,13 @@ val n_subscribers : t -> int
 (** Taps are not subscribers; see {!set_tap}. *)
 
 val set_tap : t -> (event -> unit) -> unit
-(** Install the out-of-band observer (the flight recorder's intake).
-    The tap sees every event before the subscribers do, enables the
-    stream like a subscriber would, but is invisible to
-    {!n_subscribers} and {!emitted} — user-facing "is anyone
-    listening?" semantics are unchanged by an armed recorder.  At most
-    one tap; installing again replaces it. *)
-
-val clear_tap : t -> unit
+(** Install the out-of-band observer (the engine's intake for the
+    flight recorder and the decision ledger).  The tap sees every event
+    before the subscribers do, enables the stream like a subscriber
+    would, but is invisible to {!n_subscribers} and {!emitted} —
+    user-facing "is anyone listening?" semantics are unchanged by an
+    armed recorder or ledger.  At most one tap; installing again
+    replaces it. *)
 
 val set_now : t -> int -> unit
 (** Advance the logical clock; events emitted afterwards carry this
@@ -247,3 +255,10 @@ val emitted : t -> int
 val kind : payload -> string
 (** Stable lowercase tag naming the constructor ("signal_raised",
     "trace_entered", …) — the ["event"] field of the JSONL schema. *)
+
+val is_decision : payload -> bool
+(** [true] for the nine decision kinds — [trace_constructed],
+    [trace_replaced], [guards_pruned], [trace_quarantined],
+    [trace_evicted], [trace_compiled], [tier_demoted], [osr_promoted]
+    and [deopt_entered].  The decision ledger ({!Ledger}) retains
+    exactly these events. *)

@@ -1,70 +1,38 @@
-(** Decision ledger: one compact attribution record per consequential
-    engine action, each linked to the originating span id and dispatch
-    tick.  [Harness.Oracle.ledger_checks] reconciles aggregate ledger
-    counts against [Stats] so the two can never drift. *)
-
-type action =
-  | Build of { new_traces : int; reused : int; pruned : int }
-      (** A builder outcome (profiler signal or OSR promotion). *)
-  | Install of { replaced : bool; n_blocks : int }
-      (** A trace bound into the cache ([replaced] = displaced a
-          predecessor at the same entry key). *)
-  | Guard_prune of { pruned : int }
-      (** Guards elided by implication proofs at installation. *)
-  | Quarantine of {
-      code : string;
-      attempts : int;
-      until : int;
-      permanent : bool;
-    }
-      (** Entry quarantined; [until] is the backoff deadline tick and
-          [permanent] marks a blacklist. *)
-  | Evict of { reason : string; footprint : int; heat : int; stamp : int }
-      (** Victim selection inputs: policy reason, footprint bytes, use
-          count, and last-used stamp of the evicted trace. *)
-  | Compile of {
-      heat : int;
-      compile_after : int;
-      budget : int;
-      n_compiled : int;
-    }
-      (** Tier promotion, with the heat-vs-threshold and budget state
-          that justified it. *)
-  | Demote of { heat : int; winner_heat : int }
-      (** Compiled victim demoted to make budget room for a hotter
-          trace. *)
-  | Osr_promote of { header : int; latch : int; hotness : int }
-  | Deopt of { at_pos : int; resume : int; residue : int; reason : string }
-
-val action_kind : action -> string
-(** Stable wire tag ("build", "install", "evict", ...). *)
+(** Decision ledger: the retained subsequence of the engine's event
+    stream made of its decision events ({!Events.is_decision}) — trace
+    constructions, replacements, guard prunes, quarantines, evictions,
+    tier compiles and demotions, OSR promotions and deopts.  Each
+    decision is emitted once, as an {!Events.payload}; the ledger keeps
+    that event together with the span it happened under.
+    [Harness.Oracle] checks its per-kind totals against the stream. *)
 
 type record = {
-  seq : int;
-  tick : int;
-  span : int;
-  trace_id : int;
-  first : int;
-  head : int;
-  action : action;
+  seq : int;  (** position in the ledger *)
+  span : int;  (** innermost open span at emission, or -1 *)
+  event : Events.event;  (** the decision; [event.time] is its tick *)
 }
 
 type t
 
 val create : unit -> t
 
-val set_sources : t -> tick:(unit -> int) -> span:(unit -> int) -> unit
-(** Install the dispatch-tick and open-span thunks (engine wiring). *)
+val note : t -> span:int -> Events.event -> unit
+(** Intake: keep [event] iff its kind is a decision.  A non-decision
+    event is dropped without allocating. *)
 
 val length : t -> int
-
-val record :
-  t -> ?trace_id:int -> ?first:int -> ?head:int -> action -> unit
-
-val iter : (record -> unit) -> t -> unit
 val to_list : t -> record list
+
+val trace_of : Events.payload -> int
+(** The trace a decision payload names, or -1. *)
+
 val for_trace : t -> int -> record list
+(** The records whose payload names trace [id]. *)
+
 val for_block : t -> int -> record list
+(** The records whose payload names block [b] (as [first], [head],
+    [header] or [latch]), plus every record of a trace those records
+    name. *)
 
 val totals : t -> (string * int) list
-(** Record count per action kind, sorted by kind. *)
+(** Record count per event kind, sorted by kind. *)

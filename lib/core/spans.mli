@@ -75,7 +75,7 @@ val n_open : t -> int
 
 val current : t -> int
 (** Id of the innermost open span, or [-1] when none is open — the
-    span the decision ledger attributes an action to. *)
+    span the decision ledger attributes a decision to. *)
 
 val set_on_close : t -> (span -> unit) -> unit
 (** Install a hook fired once per span closure ({!end_span} on an open

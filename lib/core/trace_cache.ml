@@ -72,10 +72,6 @@ type t = {
          session — a construction this session never had to pay for *)
   mutable cross_entries : int;
       (* dispatch lookups entering a trace built by another session *)
-  mutable ledger : Ledger.t option;
-      (* decision ledger (engine-owned); installs, evictions and
-         quarantines are recorded here, at the site that knows the
-         victim-scoring inputs *)
 }
 
 let create ?(events = Events.create ()) ?(max_traces = 0) ?(max_blocks = 0)
@@ -116,17 +112,7 @@ let create ?(events = Events.create ()) ?(max_traces = 0) ?(max_blocks = 0)
     demote_refusals = 0;
     cross_installs = 0;
     cross_entries = 0;
-    ledger = None;
   }
-
-let set_ledger t l = t.ledger <- Some l
-
-let ledger t = t.ledger
-
-let ledger_record t ?trace_id ?first ?head action =
-  match t.ledger with
-  | Some l -> Ledger.record l ?trace_id ?first ?head action
-  | None -> ()
 
 let layout t = t.layout
 
@@ -265,19 +251,28 @@ let unbind t ekey (tr : Trace.t) =
 
 let n_live t = Hashtbl.length t.by_entry
 
-let emit_evicted t ~ekey ~(tr : Trace.t) ~reason =
+(* Remove a live entry from the cache and publish why.  The victim's
+   footprint, heat and stamp are read before [unbind] drops its
+   compiled body, so the event carries the inputs that chose it. *)
+let evict_entry t ekey (e : entry) ~reason =
   if Events.enabled t.events then begin
+    let footprint = Footprint_model.trace_bytes e.trace in
+    unbind t ekey e.trace;
     let n = t.layout.Layout.n_blocks in
     Events.emit t.events
       (Events.Trace_evicted
          {
-           trace_id = tr.Trace.id;
+           trace_id = e.trace.Trace.id;
            first = ekey / n;
            head = ekey mod n;
            n_live = n_live t;
            reason;
+           footprint;
+           heat = e.uses;
+           stamp = e.stamp;
          })
   end
+  else unbind t ekey e.trace
 
 (* Estimated i-cache bytes this entry pays per use — the footprint/heat
    ratio (shared byte model: [Footprint_model]).  A large rarely-entered
@@ -330,21 +325,9 @@ let pick_victim t ~keep =
 let evict_one t ~keep ~reason =
   match pick_victim t ~keep with
   | None -> false
-  | Some (ekey, ({ trace = tr; stamp; uses = heat } : entry)) ->
-      let footprint = Footprint_model.trace_bytes tr in
-      unbind t ekey tr;
+  | Some (ekey, e) ->
       t.evicted <- t.evicted + 1;
-      emit_evicted t ~ekey ~tr ~reason;
-      let n = t.layout.Layout.n_blocks in
-      ledger_record t ~trace_id:tr.Trace.id ~first:(ekey / n)
-        ~head:(ekey mod n)
-        (Ledger.Evict
-           {
-             reason = Events.evict_reason_to_string reason;
-             footprint;
-             heat;
-             stamp;
-           });
+      evict_entry t ekey e ~reason;
       true
 
 let over_capacity t =
@@ -389,7 +372,6 @@ let bind t ekey (tr : Trace.t) : entry =
 let install t ~first ~(blocks : Layout.gid array) ~prob : Trace.t =
   let skey = seq_key ~first ~blocks in
   let ekey = entry_key_int t ~first ~head:blocks.(0) in
-  let displaced = ref false in
   let tr =
     match Hashtbl.find_opt t.by_seq skey with
     | Some existing ->
@@ -399,9 +381,7 @@ let install t ~first ~(blocks : Layout.gid array) ~prob : Trace.t =
         (* make sure it is (still) the trace bound to its entry *)
         (match Hashtbl.find_opt t.by_entry ekey with
         | Some bound when bound.trace == existing -> ()
-        | Some _ ->
-            displaced := true;
-            note_replaced t ~first ~head:blocks.(0) existing
+        | Some _ -> note_replaced t ~first ~head:blocks.(0) existing
         | None -> ());
         existing
     | None ->
@@ -411,16 +391,11 @@ let install t ~first ~(blocks : Layout.gid array) ~prob : Trace.t =
         tr.Trace.owner <- t.session;
         t.constructed <- t.constructed + 1;
         Hashtbl.replace t.by_seq skey tr;
-        (match Hashtbl.find_opt t.by_entry ekey with
-        | Some _ ->
-            displaced := true;
-            note_replaced t ~first ~head:blocks.(0) tr
-        | None -> ());
+        if Hashtbl.mem t.by_entry ekey then
+          note_replaced t ~first ~head:blocks.(0) tr;
         tr
   in
   ignore (bind t ekey tr : entry);
-  ledger_record t ~trace_id:tr.Trace.id ~first ~head:blocks.(0)
-    (Ledger.Install { replaced = !displaced; n_blocks = Array.length blocks });
   enforce_caps t ~keep:ekey;
   tr
 
@@ -459,12 +434,11 @@ let quarantine t ~first ~head ~code : Trace.t option =
   | bound ->
   let removed =
     match bound with
-    | Some { trace = tr; _ } ->
-        unbind t ekey tr;
+    | Some e ->
         (* not counted in [evicted] (that is capacity accounting) but
            visible in the timeline with its own reason *)
-        emit_evicted t ~ekey ~tr ~reason:Events.Quarantine;
-        Some tr
+        evict_entry t ekey e ~reason:Events.Quarantine;
+        Some e.trace
     | None -> None
   in
   let q =
@@ -495,16 +469,6 @@ let quarantine t ~first ~head ~code : Trace.t option =
            attempts = q.attempts;
            until = q.until;
          });
-  ledger_record t
-    ~trace_id:(match removed with Some tr -> tr.Trace.id | None -> -1)
-    ~first ~head
-    (Ledger.Quarantine
-       {
-         code;
-         attempts = q.attempts;
-         until = q.until;
-         permanent = q.until = max_int;
-       });
   removed
 
 let remove t ~first ~head : Trace.t option =

@@ -36,8 +36,9 @@ val create :
   ?heal_backoff:int ->
   Cfg.Layout.t ->
   t
-(** [events] receives [Trace_replaced] / [Trace_evicted] /
-    [Trace_quarantined]; a fresh disabled stream is used when omitted.
+(** [events] receives [Trace_replaced] / [Trace_evicted] (with the
+    victim's footprint, heat and stamp) / [Trace_quarantined]; a fresh
+    disabled stream is used when omitted.
     [max_traces] and [max_blocks] default to [0] (unbounded),
     [eviction_policy] to [Lru]; [heal_max_rebuilds] defaults to 3 and
     [heal_backoff] to 512 cache clock units.
@@ -50,14 +51,6 @@ val layout : t -> Cfg.Layout.t
 val set_clock : t -> int -> unit
 (** Advance the cache clock (the engine's dispatch count) — the time base
     of quarantine backoff. *)
-
-val set_ledger : t -> Ledger.t -> unit
-(** Attach the engine's decision ledger.  Installs, evictions (with
-    their victim-scoring inputs) and quarantines are recorded at the
-    cache site that knows them; [Tier] reaches the same ledger through
-    {!ledger}. *)
-
-val ledger : t -> Ledger.t option
 
 val set_session : t -> int -> unit
 (** Announce which session's dispatches follow.  A cache shared between

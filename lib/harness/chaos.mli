@@ -32,8 +32,9 @@ type verdict = {
   identical : bool;  (** FT901: VM results match the baseline *)
   recovered : bool;  (** FT902: ended the run at full tracing *)
   reconciled : bool;
-      (** FT903: the event timeline and decision ledger reconcile with
-          the end-of-run statistics ({!Oracle.run_checks}). *)
+      (** FT903: the event timeline reconciles with the end-of-run
+          statistics and the decision ledger with the timeline
+          ({!Oracle.run_checks}). *)
   stats : Tracegen.Stats.t;
 }
 

@@ -1,10 +1,11 @@
-(* The events-vs-stats-vs-ledger reconciliation oracle.
+(* The events-vs-stats reconciliation oracle.
 
-   The event stream, the end-of-run statistics and the decision ledger
-   are three views of the same execution; this module owns the exact
-   agreements between them so every consumer (`repro_cli events`, the
-   chaos harness, the tests) checks the same list rather than each
-   keeping a private copy that can drift. *)
+   The event stream and the end-of-run statistics are two views of the
+   same execution, and the decision ledger is the stream's decision
+   events, retained; this module owns the exact agreements between them
+   so every consumer (`repro_cli events` and `explain`, the chaos
+   harness, the tests) checks the same list rather than each keeping a
+   private copy that can drift. *)
 
 module Events = Tracegen.Events
 module Stats = Tracegen.Stats
@@ -23,13 +24,16 @@ let failures checks = List.filter (fun c -> not (check_ok c)) checks
 (* Event tally                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-kind counts plus the three refinements the checks need beyond
-   raw kinds: new-vs-reused constructions and the eviction-reason
-   split (quarantine removals count under traces_quarantined, the
-   other reasons under traces_evicted). *)
+(* Per-kind counts plus the refinements the checks need beyond raw
+   kinds: new-vs-reused constructions, the summed guard prunes, the
+   eviction-reason split (quarantine removals count under
+   traces_quarantined, the other reasons under traces_evicted) and
+   which kinds seen were decisions (the ledger fold's domain). *)
 type tally = {
   counts : (string, int) Hashtbl.t;
+  decision_kinds : (string, unit) Hashtbl.t;
   mutable constructed_new : int;
+  mutable pruned_sum : int;
   mutable evicted_counted : int;
   mutable evicted_quarantine : int;
 }
@@ -37,7 +41,9 @@ type tally = {
 let create_tally () =
   {
     counts = Hashtbl.create 16;
+    decision_kinds = Hashtbl.create 16;
     constructed_new = 0;
+    pruned_sum = 0;
     evicted_counted = 0;
     evicted_quarantine = 0;
   }
@@ -49,9 +55,11 @@ let n_kinds t = Hashtbl.length t.counts
 let observe t (payload : Events.payload) =
   let k = Events.kind payload in
   Hashtbl.replace t.counts k (1 + count t k);
+  if Events.is_decision payload then Hashtbl.replace t.decision_kinds k ();
   match payload with
   | Events.Trace_constructed { reused = false; _ } ->
       t.constructed_new <- t.constructed_new + 1
+  | Events.Guards_pruned { pruned; _ } -> t.pruned_sum <- t.pruned_sum + pruned
   (* exhaustive over the shared eviction-reason variant *)
   | Events.Trace_evicted { reason = Events.Quarantine; _ } ->
       t.evicted_quarantine <- t.evicted_quarantine + 1
@@ -90,6 +98,11 @@ let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
       name = "trace_constructed (reused) = builder reuses";
       got = count t "trace_constructed" - t.constructed_new;
       want = Engine.builder_reuses engine;
+    };
+    {
+      name = "guards_pruned (sum of pruned) = guards_pruned";
+      got = t.pruned_sum;
+      want = s.Stats.guards_pruned;
     };
     {
       name = "trace_entered = traces_entered";
@@ -166,97 +179,29 @@ let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Ledger vs stats                                                     *)
+(* The ledger fold                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The decision ledger's aggregates against the same counters.  The
-   mapping mirrors where the engine records: every construction and
-   reuse flows through a Build record, every tier compile (including
-   restore-time recompilation) through Compile, every real eviction
-   (capacity/pressure/footprint — not quarantine removal) through
-   Evict, and so on. *)
-let ledger_checks (l : Ledger.t) ~(engine : Engine.t) (s : Stats.t) :
-    check list =
-  let built = ref 0
-  and reused = ref 0
-  and guard_pruned = ref 0
-  and quarantines = ref 0
-  and evictions = ref 0
-  and replacements = ref 0
-  and compiles = ref 0
-  and demotions = ref 0
-  and osr_promotes = ref 0
-  and deopts = ref 0 in
-  Ledger.iter
-    (fun r ->
-      match r.Ledger.action with
-      | Ledger.Build { new_traces; reused = re; pruned = _ } ->
-          built := !built + new_traces;
-          reused := !reused + re
-      | Ledger.Guard_prune { pruned } -> guard_pruned := !guard_pruned + pruned
-      | Ledger.Install { replaced; _ } ->
-          if replaced then incr replacements
-      | Ledger.Quarantine _ -> incr quarantines
-      | Ledger.Evict _ -> incr evictions
-      | Ledger.Compile _ -> incr compiles
-      | Ledger.Demote _ -> incr demotions
-      | Ledger.Osr_promote _ -> incr osr_promotes
-      | Ledger.Deopt _ -> incr deopts)
-    l;
-  [
-    {
-      name = "ledger build.new = traces_constructed";
-      got = !built;
-      want = s.Stats.traces_constructed;
-    };
-    {
-      name = "ledger build.reused = builder reuses";
-      got = !reused;
-      want = Engine.builder_reuses engine;
-    };
-    {
-      name = "ledger guard_prune = guards_pruned";
-      got = !guard_pruned;
-      want = s.Stats.guards_pruned;
-    };
-    {
-      name = "ledger install.replaced = traces_replaced";
-      got = !replacements;
-      want = s.Stats.traces_replaced;
-    };
-    {
-      name = "ledger quarantine = traces_quarantined";
-      got = !quarantines;
-      want = s.Stats.traces_quarantined;
-    };
-    {
-      name = "ledger evict = traces_evicted";
-      got = !evictions;
-      want = s.Stats.traces_evicted;
-    };
-    {
-      name = "ledger compile = traces_compiled";
-      got = !compiles;
-      want = s.Stats.traces_compiled;
-    };
-    {
-      name = "ledger demote = tier_demotions";
-      got = !demotions;
-      want = s.Stats.tier_demotions;
-    };
-    {
-      name = "ledger osr_promote = osr_promotions";
-      got = !osr_promotes;
-      want = s.Stats.osr_promotions;
-    };
-    { name = "ledger deopt = deopts"; got = !deopts; want = s.Stats.deopts };
-  ]
+(* The ledger retains the stream's decision events, so its per-kind
+   totals must equal the tally's counts over the decision kinds.  One
+   check: [got] is the number of decision kinds (seen on either side)
+   whose totals agree, [want] the number of decision kinds seen. *)
+let ledger_fold (t : tally) (l : Ledger.t) : check =
+  let totals = Ledger.totals l in
+  let agrees k = (try List.assoc k totals with Not_found -> 0) = count t k in
+  let kinds = Hashtbl.copy t.decision_kinds in
+  List.iter (fun (k, _) -> Hashtbl.replace kinds k ()) totals;
+  {
+    name = "ledger per-kind totals = decision events (kinds agreeing)";
+    got = Hashtbl.fold (fun k () n -> if agrees k then n + 1 else n) kinds 0;
+    want = Hashtbl.length kinds;
+  }
 
-(* Both reconciliations for a finished solo-engine run.  Ledger checks
-   apply only when the run actually kept a ledger. *)
+(* The full reconciliation for a finished solo-engine run: the event
+   checks, plus the ledger fold when the run kept a ledger. *)
 let run_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
   event_checks t ~engine s
   @
   match Engine.ledger engine with
-  | Some l -> ledger_checks l ~engine s
+  | Some l -> [ ledger_fold t l ]
   | None -> []

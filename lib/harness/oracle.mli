@@ -1,9 +1,10 @@
-(** The events-vs-stats-vs-ledger reconciliation oracle.
+(** The events-vs-stats reconciliation oracle.
 
-    The event stream, the end-of-run statistics and the decision ledger
-    are three views of the same execution.  This module owns the exact
-    agreements between them, so [repro_cli events], the chaos harness
-    and the tests all check one list instead of private copies that can
+    The event stream and the end-of-run statistics are two views of the
+    same execution, and the decision ledger is the stream's decision
+    events, retained.  This module owns the exact agreements between
+    them, so [repro_cli events] and [explain], the chaos harness and the
+    tests all check one list instead of private copies that can
     drift. *)
 
 type check = { name : string; got : int; want : int }
@@ -16,7 +17,8 @@ val failures : check list -> check list
 
 type tally
 (** Per-kind event counts plus the refinements the checks need
-    (new-vs-reused constructions, the eviction-reason split). *)
+    (new-vs-reused constructions, summed guard prunes, the
+    eviction-reason split, the decision kinds seen). *)
 
 val create_tally : unit -> tally
 
@@ -39,20 +41,16 @@ val event_checks :
   tally -> engine:Tracegen.Engine.t -> Tracegen.Stats.t -> check list
 (** The event-timeline agreements: every counted kind against its
     statistics counter, including the side-exit balance
-    (entered − completed − in-flight) and the eviction-reason split. *)
+    (entered − completed − in-flight), the summed [guards_pruned]
+    payloads and the eviction-reason split. *)
 
-val ledger_checks :
-  Tracegen.Ledger.t ->
-  engine:Tracegen.Engine.t ->
-  Tracegen.Stats.t ->
-  check list
-(** The decision-ledger aggregates against the same counters: Build
-    sums against constructions/reuses, Compile counts against
-    [traces_compiled] (including restore-time recompilation), Evict
-    against [traces_evicted], and so on. *)
+val ledger_fold : tally -> Tracegen.Ledger.t -> check
+(** The ledger against the stream it retains: for every decision kind
+    ({!Tracegen.Events.is_decision}) seen by the tally or the ledger,
+    the ledger's total equals the tally's count.  [got] counts the
+    agreeing kinds, [want] the kinds seen. *)
 
 val run_checks :
   tally -> engine:Tracegen.Engine.t -> Tracegen.Stats.t -> check list
-(** {!event_checks} plus, when the engine kept a ledger,
-    {!ledger_checks} — the full reconciliation for a finished
-    solo-engine run. *)
+(** {!event_checks} plus, when the engine kept a ledger, {!ledger_fold}
+    — the full reconciliation for a finished solo-engine run. *)

@@ -66,6 +66,11 @@ let rest_fields kvs ~skip =
           | Codec.J_obj _ | Codec.J_list _ -> Printf.sprintf "%s=..." k))
     kvs
 
+(* A payload's fields as key=value text — what a postmortem "event"
+   line shows after its kind. *)
+let payload_fields p =
+  String.concat " " (rest_fields (Codec.event_payload_fields p) ~skip:[])
+
 (* One parsed dump line as a human-readable description.  Unknown [rec]
    shapes degrade to a generic field listing rather than failing. *)
 let describe_json (j : Codec.json) : (string, string) result =

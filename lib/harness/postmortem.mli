@@ -26,6 +26,11 @@ val arm :
     one file per reason, latest dump winning; [on_dump] observes each
     written (reason, path). *)
 
+val payload_fields : Tracegen.Events.payload -> string
+(** An event payload's fields as space-separated [key=value] text — the
+    rendering a postmortem ["event"] line uses after the kind (also
+    [repro_cli explain]'s). *)
+
 val describe_json : Codec.json -> (string, string) result
 (** One parsed dump line as a human-readable description. *)
 

@@ -66,6 +66,13 @@ dune exec bin/repro_cli.exe -- chaos --spec 'guard_flip@0.05,budget=24' \
 dune exec bin/repro_cli.exe -- events compress --stats-only --self-heal \
   --fault-spec 'corrupt-trace@0.005,budget=20' --osr --tier
 
+# Decision ledger: the same faulted, self-healing OSR + tier run
+# narrated from its ledger must reconcile every event kind with the
+# end-of-run statistics and the ledger's per-kind totals with the
+# stream's decision events; exits non-zero on any mismatch.
+dune exec bin/repro_cli.exe -- explain compress --self-heal \
+  --fault-spec 'corrupt-trace@0.005,budget=20' --osr --tier > /dev/null
+
 # Hot-path attribution: the ranked report's every column must reconcile
 # exactly with the end-of-run statistics; exits non-zero on mismatch.
 dune exec bin/repro_cli.exe -- top compress > /dev/null

@@ -1,6 +1,7 @@
 (* The flight recorder: ring wrap-around at capacity, dump triggers, the
-   postmortem JSONL round trip through the codec, and the ledger/event
-   reconciliation oracle over a live engine run. *)
+   postmortem JSONL round trip through the codec; the decision ledger as
+   the retained decision events; and the reconciliation oracle over a
+   live engine run. *)
 
 open Workloads.Dsl
 module S = Bytecode.Structured
@@ -190,25 +191,98 @@ let test_engine_arms_recorder_by_default () =
   check Alcotest.bool "capacity 0 disarms it" true
     (Engine.flightrec r2.Engine.engine = None)
 
+(* The oracle over two configurations: the default, and one with guard
+   pruning on, so the summed guards_pruned payloads are checked against
+   a non-zero counter. *)
 let test_engine_run_reconciles () =
-  let events = Events.create () in
-  let tally = Oracle.attach events in
-  let engine = Engine.create ~events hot_loop in
-  let result = Engine.drive engine in
-  let checks =
-    Oracle.run_checks tally ~engine result.Engine.run_stats
-  in
   List.iter
-    (fun (c : Oracle.check) ->
-      check Alcotest.int
-        (Printf.sprintf "oracle: %s" c.Oracle.name)
-        c.Oracle.want c.Oracle.got)
-    checks;
-  match Engine.ledger engine with
-  | None -> Alcotest.fail "default config must keep the ledger"
-  | Some l ->
-      check Alcotest.bool "ledger recorded the run's decisions" true
-        (Ledger.length l > 0)
+    (fun (label, config) ->
+      let events = Events.create () in
+      let tally = Oracle.attach events in
+      let engine = Engine.create ~config ~events hot_loop in
+      let result = Engine.drive engine in
+      let checks = Oracle.run_checks tally ~engine result.Engine.run_stats in
+      List.iter
+        (fun (c : Oracle.check) ->
+          check Alcotest.int
+            (Printf.sprintf "%s oracle: %s" label c.Oracle.name)
+            c.Oracle.want c.Oracle.got)
+        checks;
+      if Config.prune_guards config then
+        check Alcotest.bool "pruning engaged" true
+          (result.Engine.run_stats.Tracegen.Stats.guards_pruned > 0);
+      match Engine.ledger engine with
+      | None -> Alcotest.fail "default config must keep the ledger"
+      | Some l ->
+          check Alcotest.bool "ledger recorded the run's decisions" true
+            (Ledger.length l > 0))
+    [
+      ("default", Config.default);
+      ("prune-guards", Config.make ~prune_guards:true ());
+    ]
+
+(* The ledger is the stream's decision events, retained: the same event
+   values a subscriber sees, in order, and nothing else. *)
+let test_ledger_is_decision_stream () =
+  let events = Events.create () in
+  let seen = ref [] in
+  let _sub =
+    Events.subscribe events (fun e ->
+        if Events.is_decision e.Events.payload then seen := e :: !seen)
+  in
+  let config = Config.make ~prune_guards:true () in
+  let engine = Engine.create ~config ~events hot_loop in
+  ignore (Engine.drive engine : Engine.run_result);
+  let l =
+    match Engine.ledger engine with
+    | Some l -> l
+    | None -> Alcotest.fail "default config must keep the ledger"
+  in
+  let records = Ledger.to_list l in
+  check Alcotest.int "one record per decision event" (List.length !seen)
+    (Ledger.length l);
+  check Alcotest.bool "the records are the events, in order" true
+    (List.for_all2 ( == ) (List.rev !seen)
+       (List.map (fun r -> r.Ledger.event) records));
+  check Alcotest.(list int) "seq numbers the records"
+    (List.init (Ledger.length l) Fun.id)
+    (List.map (fun r -> r.Ledger.seq) records);
+  (* the queries *)
+  let first_trace =
+    List.find_map
+      (fun r ->
+        match r.Ledger.event.Events.payload with
+        | Events.Trace_constructed { trace_id; first; _ } ->
+            Some (trace_id, first)
+        | _ -> None)
+      records
+  in
+  match first_trace with
+  | None -> Alcotest.fail "the run constructed no trace"
+  | Some (id, first) ->
+      let mine = Ledger.for_trace l id in
+      check Alcotest.bool "for_trace keeps only that trace" true
+        (mine <> []
+        && List.for_all
+             (fun r -> Ledger.trace_of r.Ledger.event.Events.payload = id)
+             mine);
+      check Alcotest.bool "for_block reaches the trace through its entry"
+        true
+        (List.for_all
+           (fun r -> List.memq r (Ledger.for_block l first))
+           mine)
+
+(* Intake of a non-decision event allocates nothing. *)
+let test_ledger_intake_quiet () =
+  let l = Ledger.create () in
+  let e = ev 7 1 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Ledger.note l ~span:(-1) e
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "nothing kept" 0 (Ledger.length l);
+  check Alcotest.bool "nothing allocated" true (words < 64.)
 
 let () =
   Alcotest.run "flightrec"
@@ -229,5 +303,8 @@ let () =
             test_engine_arms_recorder_by_default;
           tc "events + ledger reconcile with stats" `Quick
             test_engine_run_reconciles;
+          tc "ledger is the decision stream" `Quick
+            test_ledger_is_decision_stream;
+          tc "ledger intake drops quietly" `Quick test_ledger_intake_quiet;
         ] );
     ]
