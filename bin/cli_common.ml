@@ -1,16 +1,24 @@
-(* Shared plumbing for repro_cli's subcommands: workload lookup, layout
-   construction, configuration validation, and the cmdliner argument
-   definitions every engine-driving subcommand repeats. *)
+(* Shared plumbing for repro_cli's subcommands — the paper's run procedure
+   (pick a workload and a configuration, run it, read the results off the
+   dispatch stream) in one place: workload lookup, layout construction,
+   configuration validation, file I/O, the reconciliation report, and the
+   cmdliner arguments every engine-driving subcommand shares. *)
 
 open Cmdliner
 
-let find_workload name =
+let workload name =
   match Workloads.Registry.find name with
   | Some w -> w
   | None ->
       Printf.eprintf "unknown workload %s (try: %s)\n" name
         (String.concat ", " (Workloads.Registry.names ()));
       exit 2
+
+(* The optional positional WORKLOAD of the sweeping subcommands: [None]
+   means every registered workload. *)
+let workloads = function
+  | Some name -> [ workload name ]
+  | None -> Workloads.Registry.all
 
 (* Config.make validates; turn a bad --threshold/--delay/--snapshot-period
    into a clean CLI error rather than an uncaught exception. *)
@@ -20,27 +28,44 @@ let config_or_die f =
       Printf.eprintf "invalid configuration: %s\n" msg;
       exit 2
 
-let program_of w ~size =
+let program w ~size =
   match size with
   | Some s -> w.Workloads.Workload.build ~size:s
   | None -> Workloads.Workload.build_default w
 
-let layout_of w ~size =
-  let program = program_of w ~size in
+let layout w ~size =
+  let program = program w ~size in
   Bytecode.Verify.verify_program program;
   Cfg.Layout.build program
 
-(* The standard engine configuration of the run/events/session commands:
-   fault-spec parse errors and out-of-range parameters both die cleanly. *)
+(* The one engine configuration builder of the CLI: every parameter left
+   out keeps its Config default, debug checks follow --self-heal unless
+   given, and fault-spec parse errors and out-of-range parameters both
+   die cleanly. *)
 let engine_config ?snapshot_period ?obs_spans ?obs_attribution ?prune_guards
-    ?(osr = false) ?(tier = false) ~threshold ~delay ~fault_spec ~fault_seed
-    ~self_heal () =
+    ?osr ?tier ?fault_spec ?fault_seed ?(self_heal = false)
+    ?(debug_checks = self_heal) ~threshold ~delay () =
   config_or_die (fun () ->
       (* the engine parses the spec at create; surface a bad one here *)
-      ignore (Tracegen.Faults.create ~seed:fault_seed fault_spec);
-      Tracegen.Config.make ~threshold ~start_state_delay:delay ~fault_spec
-        ~fault_seed ~self_heal ~debug_checks:self_heal ~osr ~tier
-        ?snapshot_period ?obs_spans ?obs_attribution ?prune_guards ())
+      Option.iter
+        (fun spec -> ignore (Tracegen.Faults.create ~seed:0 spec))
+        fault_spec;
+      Tracegen.Config.make ~threshold ~start_state_delay:delay ?fault_spec
+        ?fault_seed ~self_heal ~debug_checks ?osr ?tier ?snapshot_period
+        ?obs_spans ?obs_attribution ?prune_guards ())
+
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg ->
+    Printf.eprintf "cannot read %s: %s\n" path msg;
+    exit 2
+
+let write_file path data =
+  try
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+  with Sys_error msg ->
+    Printf.eprintf "cannot write %s: %s\n" path msg;
+    exit 2
 
 (* Print one "# ok:" / "# MISMATCH:" line per reconciliation check on
    stderr; [source] names what the checked side counted ("timeline",
@@ -61,10 +86,31 @@ let report_checks ~source (checks : Harness.Oracle.check list) =
       end)
     true checks
 
+(* A reconciled replay: run [layout] over a fresh event stream tallied by
+   the oracle ([watch] subscribes anything else before the run), let
+   [narrate] print what the subcommand shows and return its own extra
+   checks, then hold the tally to the end-of-run statistics and the
+   ledger.  Exit 1 on any mismatch. *)
+let reconcile ?(watch = ignore) ~config layout narrate =
+  let events = Tracegen.Events.create () in
+  let tally = Harness.Oracle.attach events in
+  watch events;
+  let result = Tracegen.Engine.run ~config ~events layout in
+  let checks =
+    Harness.Oracle.run_checks tally ~engine:result.Tracegen.Engine.engine
+      result.Tracegen.Engine.run_stats
+  in
+  let extra = narrate events tally result in
+  if not (report_checks ~source:"timeline" (checks @ extra)) then exit 1
+
 (* shared argument definitions *)
 
 let workload_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
+
+(* The optional WORKLOAD of a sweeping subcommand, with its own help. *)
+let workloads_arg ~doc =
+  Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc)
 
 let size_arg =
   Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N"
@@ -115,23 +161,55 @@ let tier_arg =
                dispatched from the compiled tier (results stay \
                bit-identical; see 'backends --tier').")
 
-(* Declarative subcommand table.  Each subcommand registers its name,
-   one-line doc and term in one place; the main entry point builds the
-   cmdliner group from the table.  Adding a subcommand is one [register]
-   call — no edits to the group construction. *)
-module Subcommand = struct
-  type t = { name : string; doc : string; term : unit Term.t }
+(* The flags of one replayed run: the workload and the paper's
+   (threshold, start-state delay) operating point, plus the fault and
+   self-healing knobs. *)
+type replay = {
+  name : string;
+  size : int option;
+  threshold : float;
+  delay : int;
+  fault_spec : string;
+  fault_seed : int;
+  self_heal : bool;
+  osr : bool;
+  tier : bool;
+  prune_guards : bool;
+}
 
-  let registry : t list ref = ref []
+(* The replay flags as one term.  [osr] also offers --osr and --tier,
+   [prune_guards] offers --prune-guards; an unoffered flag reads false. *)
+let replay_term ?(osr = false) ?(prune_guards = false) () =
+  let offered on arg = if on then arg else Term.const false in
+  Term.(
+    const
+      (fun name size threshold delay fault_spec fault_seed self_heal osr tier
+           prune_guards ->
+        {
+          name;
+          size;
+          threshold;
+          delay;
+          fault_spec;
+          fault_seed;
+          self_heal;
+          osr;
+          tier;
+          prune_guards;
+        })
+    $ workload_arg $ size_arg $ threshold_arg $ delay_arg $ fault_spec_arg
+    $ fault_seed_arg $ self_heal_arg $ offered osr osr_arg
+    $ offered osr tier_arg
+    $ offered prune_guards prune_guards_arg)
 
-  let register ~name ~doc term =
-    if List.exists (fun s -> s.name = name) !registry then
-      invalid_arg ("duplicate subcommand " ^ name);
-    registry := { name; doc; term } :: !registry
-
-  (* in registration order — the order the file declares them *)
-  let commands () =
-    List.rev_map
-      (fun s -> Cmd.v (Cmd.info s.name ~doc:s.doc) s.term)
-      !registry
-end
+(* The layout and validated configuration of a replay, with the
+   subcommand's own observability extras. *)
+let replay ?snapshot_period ?obs_spans r =
+  let layout = layout (workload r.name) ~size:r.size in
+  let config =
+    engine_config ?snapshot_period ?obs_spans ~threshold:r.threshold
+      ~delay:r.delay ~fault_spec:r.fault_spec ~fault_seed:r.fault_seed
+      ~self_heal:r.self_heal ~osr:r.osr ~tier:r.tier
+      ~prune_guards:r.prune_guards ()
+  in
+  (layout, config)

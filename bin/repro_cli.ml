@@ -4,26 +4,15 @@
 
 open Cmdliner
 
-(* workload lookup, layout building, config validation and the shared
-   argument definitions live in Cli_common *)
-let find_workload = Cli_common.find_workload
-
-let config_or_die = Cli_common.config_or_die
-
-let layout_of = Cli_common.layout_of
+(* workload lookup, layout building, config validation, file I/O and the
+   shared argument definitions live in Cli_common *)
 
 (* ------------------------------------------------------------------ *)
 (* run                                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run_cmd workload size threshold delay fault_spec fault_seed self_heal
-    osr tier prune_guards dump_traces dump_bcg top dump_flightrec =
-  let w = find_workload workload in
-  let layout = layout_of w ~size in
-  let config =
-    Cli_common.engine_config ~threshold ~delay ~fault_spec ~fault_seed
-      ~self_heal ~osr ~tier ~prune_guards ()
-  in
+let run_cmd (r : Cli_common.replay) dump_traces dump_bcg top dump_flightrec =
+  let layout, config = Cli_common.replay r in
   let result = Tracegen.Engine.run ~config layout in
   let s = result.Tracegen.Engine.run_stats in
   (* --dump-flightrec: force a Manual post-mortem dump of the black-box
@@ -77,7 +66,7 @@ let run_cmd workload size threshold delay fault_spec fault_seed self_heal
                  instrs)\n"
                 (Tracegen.Microir.n_ops body)
                 body.Tracegen.Microir.fused body.Tracegen.Microir.src_instrs
-          | None -> if tier then print_endline "       tier: interp"
+          | None -> if r.tier then print_endline "       tier: interp"
         end)
       sorted
   end;
@@ -111,72 +100,50 @@ let run_cmd workload size threshold delay fault_spec fault_seed self_heal
    checked against the end-of-run statistics, and the decision ledger
    against the stream it retains (Harness.Oracle): they are views of the
    same execution and must agree exactly. *)
-let events_cmd workload size threshold delay fault_spec fault_seed self_heal
-    osr tier snapshot_period stats_only =
+let events_cmd r snapshot_period stats_only =
   let module Events = Tracegen.Events in
-  let module Oracle = Harness.Oracle in
-  let w = find_workload workload in
-  let layout = layout_of w ~size in
-  let config =
-    Cli_common.engine_config ~snapshot_period ~threshold ~delay ~fault_spec
-      ~fault_seed ~self_heal ~osr ~tier ()
-  in
-  let events = Events.create () in
-  let tally = Oracle.attach events in
+  let layout, config = Cli_common.replay ~snapshot_period r in
   let version_prefix =
     Printf.sprintf "{\"schema_version\":%d," Harness.Codec.schema_version
   in
   let unversioned = ref 0 in
   (* --stats-only skips the per-event JSON rendering entirely: the
      oracle's tally is all the cross-checks need *)
-  let _sub =
-    if stats_only then None
-    else
-      Some
+  let watch events =
+    if not stats_only then
+      ignore
         (Events.subscribe events (fun e ->
              let line =
                Harness.Codec.to_string (Harness.Codec.event_json e)
              in
              (* every record must announce the export schema version *)
-             if
-               not
-                 (String.length line >= String.length version_prefix
-                 && String.sub line 0 (String.length version_prefix)
-                    = version_prefix)
-             then incr unversioned;
+             if not (String.starts_with ~prefix:version_prefix line) then
+               incr unversioned;
              print_endline line))
   in
-  let result = Tracegen.Engine.run ~config ~events layout in
-  let s = result.Tracegen.Engine.run_stats in
-  let engine = result.Tracegen.Engine.engine in
-  let checks =
-    Oracle.run_checks tally ~engine s
-    @ [
+  Cli_common.reconcile ~watch ~config layout (fun events tally result ->
+      let engine = result.Tracegen.Engine.engine in
+      Printf.eprintf "# %d events across %d kinds\n" (Events.emitted events)
+        (Harness.Oracle.n_kinds tally);
+      if stats_only then
+        (* the run's distributions with their percentile summaries, since
+           the per-event timeline was suppressed *)
+        prerr_string
+          (Harness.Report.hist_summary
+             [
+               Tracegen.Engine.trace_len_hist engine;
+               Tracegen.Engine.exit_distance_hist engine;
+               Tracegen.Engine.build_len_hist engine;
+               Tracegen.Engine.backoff_hist engine;
+               Tracegen.Engine.deopt_residue_hist engine;
+             ]);
+      [
         {
-          Oracle.name = "schema_version on every record";
+          Harness.Oracle.name = "schema_version on every record";
           got = !unversioned;
           want = 0;
         };
-      ]
-  in
-  Printf.eprintf "# %d events across %d kinds\n"
-    (Events.emitted events)
-    (Oracle.n_kinds tally);
-  if stats_only then begin
-    (* the run's distributions with their percentile summaries, since
-       the per-event timeline was suppressed *)
-    let hists =
-      [
-        Tracegen.Engine.trace_len_hist engine;
-        Tracegen.Engine.exit_distance_hist engine;
-        Tracegen.Engine.build_len_hist engine;
-        Tracegen.Engine.backoff_hist engine;
-        Tracegen.Engine.deopt_residue_hist engine;
-      ]
-    in
-    prerr_string (Harness.Report.hist_summary hists)
-  end;
-  if not (Cli_common.report_checks ~source:"timeline" checks) then exit 1
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* table                                                                *)
@@ -211,12 +178,7 @@ let table_cmd which scale =
 (* ------------------------------------------------------------------ *)
 
 let disasm_cmd workload size meth =
-  let w = find_workload workload in
-  let program =
-    match size with
-    | Some s -> w.Workloads.Workload.build ~size:s
-    | None -> Workloads.Workload.build_default w
-  in
+  let program = Cli_common.program (Cli_common.workload workload) ~size in
   match meth with
   | None -> print_string (Bytecode.Disasm.program_to_string program)
   | Some name -> (
@@ -236,7 +198,7 @@ let export_cmd format workload scale =
           Printf.eprintf "json format needs --workload\n";
           exit 2
       | Some name ->
-          let w = find_workload name in
+          let w = Cli_common.workload name in
           let run =
             Harness.Experiment.execute
               (Harness.Experiment.default_key ~workload:name
@@ -250,7 +212,7 @@ let export_cmd format workload scale =
 let list_cmd () =
   List.iter
     (fun w -> Format.printf "%a@." Workloads.Workload.pp w)
-    Workloads.Registry.all
+    (Cli_common.workloads None)
 
 (* ------------------------------------------------------------------ *)
 (* lint                                                                 *)
@@ -261,25 +223,16 @@ let list_cmd () =
    Exit 1 when any error-severity finding survives. *)
 let lint_cmd workload size threshold delay json static_only traces =
   let module Diag = Analysis.Diag in
-  let ws =
-    match workload with
-    | Some name -> [ find_workload name ]
-    | None -> Workloads.Registry.all
-  in
+  let ws = Cli_common.workloads workload in
   let config =
-    config_or_die (fun () ->
-        Tracegen.Config.make ~threshold ~start_state_delay:delay
-          ~debug_checks:true ~prune_guards:traces ())
+    Cli_common.engine_config ~threshold ~delay ~debug_checks:true
+      ~prune_guards:traces ()
   in
   let diags =
     List.concat_map
       (fun w ->
         let name = w.Workloads.Workload.name in
-        let program =
-          match size with
-          | Some s -> w.Workloads.Workload.build ~size:s
-          | None -> Workloads.Workload.build_default w
-        in
+        let program = Cli_common.program w ~size in
         let static = Analysis.Lint.lint_program ~context:name program in
         (* A verify-rejected program cannot be laid out, let alone run;
            its TL001 findings stand alone. *)
@@ -335,20 +288,11 @@ let lint_cmd workload size threshold delay json static_only traces =
 let prove_cmd workload size threshold delay min_pruning =
   let module Diag = Analysis.Diag in
   let module Engine = Tracegen.Engine in
-  let ws =
-    match workload with
-    | Some name -> [ find_workload name ]
-    | None -> Workloads.Registry.all
-  in
+  let ws = Cli_common.workloads workload in
   let config_on =
-    config_or_die (fun () ->
-        Tracegen.Config.make ~threshold ~start_state_delay:delay
-          ~prune_guards:true ())
+    Cli_common.engine_config ~threshold ~delay ~prune_guards:true ()
   in
-  let config_off =
-    config_or_die (fun () ->
-        Tracegen.Config.make ~threshold ~start_state_delay:delay ())
-  in
+  let config_off = Cli_common.engine_config ~threshold ~delay () in
   let errors = ref 0 in
   let diverged = ref 0 in
   let pruning_workloads = ref 0 in
@@ -357,7 +301,7 @@ let prove_cmd workload size threshold delay min_pruning =
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let name = w.Workloads.Workload.name in
-      let layout = layout_of w ~size in
+      let layout = Cli_common.layout w ~size in
       let r = Engine.run ~config:config_on layout in
       let engine = r.Engine.engine in
       let cache = Engine.cache engine in
@@ -408,11 +352,11 @@ let chaos_cmd workload size seed schedules spec osr tier quick verbose
       (fun (code, doc) -> Printf.printf "%s  %s\n" code doc)
       Tracegen.Faults.catalogue
   else begin
-    let ws =
-      match workload with
-      | Some name -> [ find_workload name ]
-      | None -> Workloads.Registry.all
-    in
+    if schedules < 1 then begin
+      Printf.eprintf "--schedules must be >= 1\n";
+      exit 2
+    end;
+    let ws = Cli_common.workloads workload in
     let spec = Option.value spec ~default:Harness.Chaos.default_spec in
     (* validate the schedule before spending any run time on it *)
     (try ignore (Tracegen.Faults.create ~seed spec) with
@@ -421,46 +365,41 @@ let chaos_cmd workload size seed schedules spec osr tier quick verbose
         exit 2);
     let max_instructions = if quick then Some 120_000 else None in
     let failures = ref 0 in
-    let total = ref 0 in
     List.iter
       (fun (w : Workloads.Workload.t) ->
         let size =
           Option.value size ~default:w.Workloads.Workload.default_size
         in
-        let faults = ref 0 in
-        let quarantined = ref 0 in
-        let evicted = ref 0 in
-        let healed = ref 0 in
-        let demoted = ref 0 in
-        let ok = ref 0 in
-        for i = 0 to schedules - 1 do
-          let v =
-            Harness.Chaos.run_one ~spec ~osr ~tier ?max_instructions
-              ?dump_dir w ~size ~seed:(seed + (1000 * i))
-          in
-          incr total;
-          let s = v.Harness.Chaos.stats in
-          faults := !faults + s.Tracegen.Stats.faults_injected;
-          quarantined := !quarantined + s.Tracegen.Stats.traces_quarantined;
-          evicted := !evicted + s.Tracegen.Stats.traces_evicted;
-          healed := !healed + s.Tracegen.Stats.healed_nodes;
-          demoted := !demoted + s.Tracegen.Stats.health_demotions;
-          if Harness.Chaos.passed v then incr ok
-          else begin
-            incr failures;
-            Printf.printf "FAIL %s\n" (Harness.Chaos.describe v)
-          end;
-          if verbose && Harness.Chaos.passed v then
-            Printf.printf "ok   %s\n" (Harness.Chaos.describe v)
-        done;
+        let verdicts =
+          List.init schedules (fun i ->
+              let v =
+                Harness.Chaos.run_one ~spec ~osr ~tier ?max_instructions
+                  ?dump_dir w ~size ~seed:(seed + (1000 * i))
+              in
+              if not (Harness.Chaos.passed v) then
+                Printf.printf "FAIL %s\n" (Harness.Chaos.describe v)
+              else if verbose then
+                Printf.printf "ok   %s\n" (Harness.Chaos.describe v);
+              v)
+        in
+        let sum f =
+          List.fold_left (fun n v -> n + f v.Harness.Chaos.stats) 0 verdicts
+        in
+        let ok = List.length (List.filter Harness.Chaos.passed verdicts) in
+        failures := !failures + schedules - ok;
         Printf.printf
           "%-10s %d/%d schedules ok; faults=%d quarantined=%d evicted=%d \
            healed=%d demoted=%d\n"
-          w.Workloads.Workload.name !ok schedules !faults !quarantined
-          !evicted !healed !demoted)
+          w.Workloads.Workload.name ok schedules
+          (sum (fun s -> s.Tracegen.Stats.faults_injected))
+          (sum (fun s -> s.Tracegen.Stats.traces_quarantined))
+          (sum (fun s -> s.Tracegen.Stats.traces_evicted))
+          (sum (fun s -> s.Tracegen.Stats.healed_nodes))
+          (sum (fun s -> s.Tracegen.Stats.health_demotions)))
       ws;
+    let total = schedules * List.length ws in
     Printf.printf "chaos gate: %d/%d runs identical and recovered\n"
-      (!total - !failures) !total;
+      (total - !failures) total;
     if !failures > 0 then exit 1
   end
 
@@ -483,22 +422,15 @@ let backends_cmd workload size threshold delay tier =
       let (module B : Tracegen.Backend.S) = Engine.implementation k in
       Printf.printf "%-8s %s\n" B.name B.describe)
     Engine.backends;
-  let ws =
-    match workload with
-    | Some name -> [ find_workload name ]
-    | None -> Workloads.Registry.all
-  in
-  let config =
-    config_or_die (fun () ->
-        Tracegen.Config.make ~threshold ~start_state_delay:delay ~tier ())
-  in
+  let ws = Cli_common.workloads workload in
+  let config = Cli_common.engine_config ~threshold ~delay ~tier () in
   Printf.printf "\n%-10s %-8s %-6s %12s %12s %10s %9s\n" "workload" "backend"
     "ok" "block-disp" "trace-disp" "signals" "compiled";
   let failures = ref 0 in
   let compiled_total = ref 0 in
   List.iter
     (fun (w : Workloads.Workload.t) ->
-      let layout = layout_of w ~size in
+      let layout = Cli_common.layout w ~size in
       let baseline = Vm.Interp.run_plain layout in
       List.iter
         (fun k ->
@@ -556,16 +488,14 @@ let session_cmd workloads users batch size threshold delay fault_spec
     Cli_common.engine_config ~threshold ~delay ~fault_spec ~fault_seed
       ~self_heal ()
   in
-  let session =
-    config_or_die (fun () -> Session.create ?batch ())
-  in
+  let session = Cli_common.config_or_die (fun () -> Session.create ?batch ()) in
   (* one layout per workload name; members of the same workload run the
      same layout value and therefore share its trace cache *)
   let layouts =
     List.map
       (fun name ->
-        let w = find_workload (String.trim name) in
-        (w.Workloads.Workload.name, layout_of w ~size))
+        let w = Cli_common.workload (String.trim name) in
+        (w.Workloads.Workload.name, Cli_common.layout w ~size))
       names
   in
   List.iter
@@ -626,20 +556,15 @@ let session_cmd workloads users batch size threshold delay fault_spec
    are two views of the same dispatch loop and must agree exactly over
    the unbounded, non-healing cache used here.  Exit 1 on mismatch. *)
 let top_cmd workload size threshold delay prune_guards tier top json =
-  let ws =
-    match workload with
-    | Some name -> [ find_workload name ]
-    | None -> Workloads.Registry.all
-  in
+  let ws = Cli_common.workloads workload in
   let config =
-    config_or_die (fun () ->
-        Tracegen.Config.make ~threshold ~start_state_delay:delay
-          ~obs_attribution:true ~prune_guards ~tier ())
+    Cli_common.engine_config ~threshold ~delay ~obs_attribution:true
+      ~prune_guards ~tier ()
   in
   let failures = ref 0 in
   List.iter
     (fun (w : Workloads.Workload.t) ->
-      let layout = layout_of w ~size in
+      let layout = Cli_common.layout w ~size in
       let r = Tracegen.Engine.run ~config layout in
       let engine = r.Tracegen.Engine.engine in
       let s = r.Tracegen.Engine.run_stats in
@@ -690,15 +615,9 @@ let top_cmd workload size threshold delay prune_guards tier top json =
    export is self-validating: the file is re-parsed and held to the
    structural oracle (monotone timestamps, every E closing a B, X events
    carrying dur).  Exit 1 on any violation. *)
-let timeline_cmd workload size threshold delay fault_spec fault_seed self_heal
-    chrome folded =
+let timeline_cmd r chrome folded =
   let module Spans = Tracegen.Spans in
-  let w = find_workload workload in
-  let layout = layout_of w ~size in
-  let config =
-    Cli_common.engine_config ~obs_spans:true ~threshold ~delay ~fault_spec
-      ~fault_seed ~self_heal ()
-  in
+  let layout, config = Cli_common.replay ~obs_spans:true r in
   let result = Tracegen.Engine.run ~config layout in
   let engine = result.Tracegen.Engine.engine in
   let spans =
@@ -714,31 +633,17 @@ let timeline_cmd workload size threshold delay fault_spec fault_seed self_heal
      weighted by self time in dispatch ticks — flamegraph.pl input *)
   (match folded with
   | None -> ()
-  | Some path -> (
+  | Some path ->
       let out = Harness.Report.folded list in
-      try
-        let oc = open_out path in
-        output_string oc out;
-        close_out oc;
-        Printf.eprintf "# ok: %d folded stack(s): %s\n"
-          (List.length
-             (String.split_on_char '\n' out |> List.filter (( <> ) "")))
-          path
-      with Sys_error msg ->
-        Printf.eprintf "cannot write %s: %s\n" path msg;
-        exit 2));
+      Cli_common.write_file path out;
+      Printf.eprintf "# ok: %d folded stack(s): %s\n"
+        (List.length (String.split_on_char '\n' out |> List.filter (( <> ) "")))
+        path);
   match chrome with
   | None -> if folded = None then print_string (Harness.Codec.spans_jsonl list)
   | Some path ->
       let out = Harness.Codec.to_string (Harness.Codec.chrome_trace list) in
-      (try
-         let oc = open_out path in
-         output_string oc out;
-         output_char oc '\n';
-         close_out oc
-       with Sys_error msg ->
-         Printf.eprintf "cannot write %s: %s\n" path msg;
-         exit 2);
+      Cli_common.write_file path (out ^ "\n");
       (* round-trip oracle: re-parse what was just written *)
       (match Harness.Codec.parse out with
       | Error msg ->
@@ -767,12 +672,8 @@ let timeline_cmd workload size threshold delay fault_spec fault_seed self_heal
    result; rejection prints the typed Persist error. *)
 let warm_cmd workload size threshold delay save load =
   let module Engine = Tracegen.Engine in
-  let w = find_workload workload in
-  let layout = layout_of w ~size in
-  let config =
-    config_or_die (fun () ->
-        Tracegen.Config.make ~threshold ~start_state_delay:delay ())
-  in
+  let layout = Cli_common.layout (Cli_common.workload workload) ~size in
+  let config = Cli_common.engine_config ~threshold ~delay () in
   let summarize tag (r : Engine.run_result) seconds =
     let s = r.Engine.run_stats in
     Printf.printf
@@ -789,13 +690,7 @@ let warm_cmd workload size threshold delay save load =
   in
   let write_snapshot path (r : Engine.run_result) =
     let data = Engine.snapshot r.Engine.engine in
-    (try
-       let oc = open_out_bin path in
-       output_string oc data;
-       close_out oc
-     with Sys_error msg ->
-       Printf.eprintf "cannot write %s: %s\n" path msg;
-       exit 2);
+    Cli_common.write_file path data;
     Printf.printf "snapshot: %d bytes -> %s\n" (String.length data) path
   in
   match (save, load) with
@@ -807,17 +702,7 @@ let warm_cmd workload size threshold delay save load =
       summarize "cold" r seconds;
       write_snapshot path r
   | _, Some path -> (
-      let data =
-        try
-          let ic = open_in_bin path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
-        with Sys_error msg ->
-          Printf.eprintf "cannot read %s: %s\n" path msg;
-          exit 2
-      in
+      let data = Cli_common.read_file path in
       let engine = Engine.create ~config layout in
       match Engine.restore engine data with
       | Error e ->
@@ -858,18 +743,7 @@ let warm_cmd workload size threshold delay save load =
    through the Codec JSON parser, so this command doubles as the dump
    format's round-trip oracle.  Exit 1 on any unparseable line. *)
 let postmortem_cmd file =
-  let contents =
-    try
-      let ic = open_in file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with Sys_error msg ->
-      Printf.eprintf "cannot read %s: %s\n" file msg;
-      exit 2
-  in
-  match Harness.Postmortem.describe_dump contents with
+  match Harness.Postmortem.describe_dump (Cli_common.read_file file) with
   | Ok lines -> List.iter print_endline lines
   | Error msg ->
       Printf.eprintf "%s: %s\n" file msg;
@@ -885,55 +759,39 @@ let postmortem_cmd file =
    tick and the span it happened under.  The run is then reconciled
    (Harness.Oracle: the event checks and the ledger fold); exit 1 on any
    drift. *)
-let explain_cmd workload size threshold delay fault_spec fault_seed self_heal
-    osr tier trace_id block =
+let explain_cmd r trace_id block =
   let module L = Tracegen.Ledger in
-  let module Oracle = Harness.Oracle in
-  let w = find_workload workload in
-  let layout = layout_of w ~size in
-  let config =
-    Cli_common.engine_config ~threshold ~delay ~fault_spec ~fault_seed
-      ~self_heal ~osr ~tier ()
-  in
-  let events = Tracegen.Events.create () in
-  let tally = Oracle.attach events in
-  let result = Tracegen.Engine.run ~config ~events layout in
-  let engine = result.Tracegen.Engine.engine in
-  let s = result.Tracegen.Engine.run_stats in
-  let ledger =
-    match Tracegen.Engine.ledger engine with
-    | Some l -> l
-    | None ->
-        Printf.eprintf "explain: the decision ledger is disabled\n";
-        exit 2
-  in
-  let records, what =
-    match (trace_id, block) with
-    | Some id, _ -> (L.for_trace ledger id, Printf.sprintf "trace %d" id)
-    | None, Some b -> (L.for_block ledger b, Printf.sprintf "block %d" b)
-    | None, None -> (L.to_list ledger, "the whole run")
-  in
-  Printf.printf "%d of %d ledger record(s) concern %s:\n" (List.length records)
-    (L.length ledger) what;
-  List.iter
-    (fun (r : L.record) ->
-      let e = r.L.event in
-      Printf.printf "  seq=%-5d tick=%-8d span=%-4d %-17s %s\n" r.L.seq
-        e.Tracegen.Events.time r.L.span
-        (Tracegen.Events.kind e.Tracegen.Events.payload)
-        (Harness.Postmortem.payload_fields e.Tracegen.Events.payload))
-    records;
-  Printf.printf "\ndecision totals:";
-  List.iter
-    (fun (kind, n) -> Printf.printf " %s=%d" kind n)
-    (L.totals ledger);
-  print_newline ();
-  (* the run must reconcile no matter what was asked *)
-  if
-    not
-      (Cli_common.report_checks ~source:"timeline"
-         (Oracle.run_checks tally ~engine s))
-  then exit 1
+  let layout, config = Cli_common.replay r in
+  Cli_common.reconcile ~config layout (fun _ _ result ->
+      let ledger =
+        match Tracegen.Engine.ledger result.Tracegen.Engine.engine with
+        | Some l -> l
+        | None ->
+            Printf.eprintf "explain: the decision ledger is disabled\n";
+            exit 2
+      in
+      let records, what =
+        match (trace_id, block) with
+        | Some id, _ -> (L.for_trace ledger id, Printf.sprintf "trace %d" id)
+        | None, Some b -> (L.for_block ledger b, Printf.sprintf "block %d" b)
+        | None, None -> (L.to_list ledger, "the whole run")
+      in
+      Printf.printf "%d of %d ledger record(s) concern %s:\n"
+        (List.length records) (L.length ledger) what;
+      List.iter
+        (fun (r : L.record) ->
+          let e = r.L.event in
+          Printf.printf "  seq=%-5d tick=%-8d span=%-4d %-17s %s\n" r.L.seq
+            e.Tracegen.Events.time r.L.span
+            (Tracegen.Events.kind e.Tracegen.Events.payload)
+            (Harness.Postmortem.payload_fields e.Tracegen.Events.payload))
+        records;
+      Printf.printf "\ndecision totals:";
+      List.iter
+        (fun (kind, n) -> Printf.printf " %s=%d" kind n)
+        (L.totals ledger);
+      print_newline ();
+      [])
 
 (* ------------------------------------------------------------------ *)
 (* bench-diff                                                           *)
@@ -945,18 +803,7 @@ let explain_cmd workload size threshold delay fault_spec fault_seed self_heal
    metric vanished from the candidate. *)
 let bench_diff_cmd old_path new_path max_regress =
   let read path =
-    let contents =
-      try
-        let ic = open_in path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      with Sys_error msg ->
-        Printf.eprintf "cannot read %s: %s\n" path msg;
-        exit 2
-    in
-    match Harness.Perf.of_string contents with
+    match Harness.Perf.of_string (Cli_common.read_file path) with
     | Ok run -> run
     | Error msg ->
         Printf.eprintf "%s: not a bench baseline: %s\n" path msg;
@@ -991,27 +838,16 @@ let bench_diff_cmd old_path new_path max_regress =
     (List.length d.Harness.Perf.missing);
   if not (Harness.Perf.ok ~max_regress d) then exit 1
 
+
 (* ------------------------------------------------------------------ *)
 (* cmdliner plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let workload_arg = Cli_common.workload_arg
+open Cli_common
 
-let size_arg = Cli_common.size_arg
+let cmd name ~doc term = Cmd.v (Cmd.info name ~doc) term
 
-let threshold_arg = Cli_common.threshold_arg
-
-let delay_arg = Cli_common.delay_arg
-
-let scale_arg = Cli_common.scale_arg
-
-let fault_spec_arg = Cli_common.fault_spec_arg
-
-let fault_seed_arg = Cli_common.fault_seed_arg
-
-let self_heal_arg = Cli_common.self_heal_arg
-
-let run_term =
+let run =
   let dump_traces =
     Arg.(value & flag & info [ "traces" ] ~doc:"Dump the trace cache.")
   in
@@ -1029,17 +865,13 @@ let run_term =
                  $(docv) after the run (reason \"manual\") — the same \
                  JSONL an invariant or divergence trigger writes.")
   in
-  Term.(
-    const run_cmd $ workload_arg $ size_arg $ threshold_arg $ delay_arg
-    $ fault_spec_arg $ fault_seed_arg $ self_heal_arg $ Cli_common.osr_arg
-    $ Cli_common.tier_arg $ Cli_common.prune_guards_arg $ dump_traces
-    $ dump_bcg $ top $ dump_flightrec)
+  cmd "run" ~doc:"Run one workload under the trace-cache engine."
+    Term.(
+      const run_cmd
+      $ replay_term ~osr:true ~prune_guards:true ()
+      $ dump_traces $ dump_bcg $ top $ dump_flightrec)
 
-let () =
-  Cli_common.Subcommand.register ~name:"run"
-    ~doc:"Run one workload under the trace-cache engine." run_term
-
-let events_term =
+let events =
   let snapshot_period =
     Arg.(value & opt int 10_000 & info [ "snapshot-period" ] ~docv:"N"
            ~doc:"Take a metrics snapshot every N dispatches (0 disables).")
@@ -1050,44 +882,34 @@ let events_term =
                  kinds and run the stderr cross-checks (much faster on \
                  large runs).")
   in
-  Term.(
-    const events_cmd $ workload_arg $ size_arg $ threshold_arg $ delay_arg
-    $ fault_spec_arg $ fault_seed_arg $ self_heal_arg $ Cli_common.osr_arg
-    $ Cli_common.tier_arg $ snapshot_period $ stats_only)
-
-let () =
-  Cli_common.Subcommand.register ~name:"events"
+  cmd "events"
     ~doc:
       "Replay a workload with the event stream enabled and dump the timeline \
        as JSON lines (stdout); per-kind totals are cross-checked against the \
        end-of-run statistics (stderr, non-zero exit on mismatch)."
-    events_term
+    Term.(
+      const events_cmd $ replay_term ~osr:true () $ snapshot_period
+      $ stats_only)
 
-let table_term =
+let table =
   let which =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TABLE")
   in
-  Term.(const table_cmd $ which $ scale_arg)
-
-let () =
-  Cli_common.Subcommand.register ~name:"table"
+  cmd "table"
     ~doc:
       "Regenerate one of the paper's tables (1-7, coverage-total, figure, \
        baselines, ablation-decay, optimizer, footprint)."
-    table_term
+    Term.(const table_cmd $ which $ scale_arg)
 
-let disasm_term =
+let disasm =
   let meth =
     Arg.(value & opt (some string) None & info [ "method" ] ~docv:"NAME"
            ~doc:"Only this method.")
   in
-  Term.(const disasm_cmd $ workload_arg $ size_arg $ meth)
+  cmd "disasm" ~doc:"Disassemble a workload program."
+    Term.(const disasm_cmd $ workload_arg $ size_arg $ meth)
 
-let () =
-  Cli_common.Subcommand.register ~name:"disasm"
-    ~doc:"Disassemble a workload program." disasm_term
-
-let export_term =
+let export =
   let format =
     Arg.(value & opt string "csv" & info [ "format" ] ~docv:"FMT"
            ~doc:"Output format: csv, jsonl or json (one workload).")
@@ -1096,23 +918,13 @@ let export_term =
     Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"W"
            ~doc:"Workload for --format json.")
   in
-  Term.(const export_cmd $ format $ workload $ scale_arg)
+  cmd "export" ~doc:"Emit sweep results as CSV / JSON for external tools."
+    Term.(const export_cmd $ format $ workload $ scale_arg)
 
-let () =
-  Cli_common.Subcommand.register ~name:"export"
-    ~doc:"Emit sweep results as CSV / JSON for external tools." export_term
+let list =
+  cmd "list" ~doc:"List the available workloads." Term.(const list_cmd $ const ())
 
-let list_term = Term.(const list_cmd $ const ())
-
-let () =
-  Cli_common.Subcommand.register ~name:"list"
-    ~doc:"List the available workloads." list_term
-
-let lint_term =
-  let workload =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD"
-           ~doc:"Workload to lint (default: every registered workload).")
-  in
+let lint =
   let json =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Emit diagnostics as JSON lines instead of human-readable text.")
@@ -1128,35 +940,25 @@ let lint_term =
                  with guard pruning enabled, so pruning claims are \
                  re-derived too.")
   in
-  Term.(
-    const lint_cmd $ workload $ size_arg $ threshold_arg $ delay_arg $ json
-    $ static_only $ traces)
-
-let () =
-  Cli_common.Subcommand.register ~name:"lint"
+  cmd "lint"
     ~doc:
       "Lint workload programs with the dataflow analyses (dead stores, \
        unreachable blocks, always-taken branches, ...), then run each one \
        under the engine with debug checks on and sweep the trace cache and \
        BCG for invariant violations.  Exits 1 on any error-severity finding."
-    lint_term
+    Term.(
+      const lint_cmd
+      $ workloads_arg
+          ~doc:"Workload to lint (default: every registered workload)."
+      $ size_arg $ threshold_arg $ delay_arg $ json $ static_only $ traces)
 
-let prove_term =
-  let workload =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD"
-           ~doc:"Workload to prove (default: every registered workload).")
-  in
+let prove =
   let min_pruning =
     Arg.(value & opt int 0 & info [ "min-pruning" ] ~docv:"K"
            ~doc:"Fail unless guard pruning elided at least one guard on \
                  $(docv) or more workloads.")
   in
-  Term.(
-    const prove_cmd $ workload $ size_arg $ threshold_arg $ delay_arg
-    $ min_pruning)
-
-let () =
-  Cli_common.Subcommand.register ~name:"prove"
+  cmd "prove"
     ~doc:
       "Translation-validate every trace the engine builds: run each \
        workload with guard pruning on, symbolically prove every installed \
@@ -1164,13 +966,13 @@ let () =
        pruning claim, then re-run with pruning off and assert bit-identical \
        VM results.  Exits 1 on any unprovable trace, diverging result, or \
        less pruning than --min-pruning demands."
-    prove_term
+    Term.(
+      const prove_cmd
+      $ workloads_arg
+          ~doc:"Workload to prove (default: every registered workload)."
+      $ size_arg $ threshold_arg $ delay_arg $ min_pruning)
 
-let chaos_term =
-  let workload =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD"
-           ~doc:"Workload to chaos-test (default: every registered workload).")
-  in
+let chaos =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N"
            ~doc:"Base PRNG seed; schedule i uses seed + 1000*i.")
@@ -1209,30 +1011,35 @@ let chaos_term =
                  divergences, rejections, degradations) land in $(docv) \
                  as flightrec_<reason>.jsonl, latest dump per reason.")
   in
-  Term.(
-    const chaos_cmd $ workload $ size_arg $ seed $ schedules $ spec $ osr
-    $ Cli_common.tier_arg $ quick $ verbose $ catalogue $ dump_dir)
+  cmd "chaos"
+    ~doc:
+      "Run workloads under seeded fault schedules (corrupted traces, \
+       flipped BCG counters, failed installations, allocation pressure) \
+       with self-healing on, asserting VM results stay bit-identical to a \
+       no-tracing baseline and the engine recovers to full tracing.  Exits \
+       1 on any divergence or permanently degraded run."
+    Term.(
+      const chaos_cmd
+      $ workloads_arg
+          ~doc:"Workload to chaos-test (default: every registered workload)."
+      $ size_arg $ seed $ schedules $ spec $ osr $ tier_arg $ quick $ verbose
+      $ catalogue $ dump_dir)
 
-let backends_term =
-  let workload =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD"
-           ~doc:"Workload to check (default: every registered workload).")
-  in
-  Term.(
-    const backends_cmd $ workload $ size_arg $ threshold_arg $ delay_arg
-    $ Cli_common.tier_arg)
-
-let () =
-  Cli_common.Subcommand.register ~name:"backends"
+let backends =
+  cmd "backends"
     ~doc:
       "List the dispatch backends (interp, profile, trace, microir), then \
        run workloads with each one pinned and assert the VM result matches \
        the plain interpreter — the pure-overlay promise, per strategy.  \
        With --tier the microir backend compiles hot traces to the micro-IR \
        tier and the gate also requires at least one compiled trace."
-    backends_term
+    Term.(
+      const backends_cmd
+      $ workloads_arg
+          ~doc:"Workload to check (default: every registered workload)."
+      $ size_arg $ threshold_arg $ delay_arg $ tier_arg)
 
-let session_term =
+let session =
   let workloads =
     Arg.(required & opt (some string) None & info [ "workloads" ] ~docv:"A,B,C"
            ~doc:"Comma-separated workloads to interleave.")
@@ -1246,34 +1053,17 @@ let session_term =
     Arg.(value & opt (some int) None & info [ "batch" ] ~docv:"N"
            ~doc:"Basic blocks each member advances per round-robin turn.")
   in
-  Term.(
-    const session_cmd $ workloads $ users $ batch $ size_arg $ threshold_arg
-    $ delay_arg $ fault_spec_arg $ fault_seed_arg $ self_heal_arg)
-
-let () =
-  Cli_common.Subcommand.register ~name:"session"
+  cmd "session"
     ~doc:
       "Run several workloads interleaved in one multi-session engine over \
        shared per-layout trace caches, assert every member's VM result is \
        bit-identical to a solo interpreter run, and report cross-session \
        trace reuse."
-    session_term
+    Term.(
+      const session_cmd $ workloads $ users $ batch $ size_arg $ threshold_arg
+      $ delay_arg $ fault_spec_arg $ fault_seed_arg $ self_heal_arg)
 
-let () =
-  Cli_common.Subcommand.register ~name:"chaos"
-    ~doc:
-      "Run workloads under seeded fault schedules (corrupted traces, \
-       flipped BCG counters, failed installations, allocation pressure) \
-       with self-healing on, asserting VM results stay bit-identical to a \
-       no-tracing baseline and the engine recovers to full tracing.  Exits \
-       1 on any divergence or permanently degraded run."
-    chaos_term
-
-let top_term =
-  let workload =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD"
-           ~doc:"Workload to profile (default: every registered workload).")
-  in
+let top =
   let top =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"K"
            ~doc:"Rows per ranked table.")
@@ -1284,20 +1074,20 @@ let top_term =
                  per workload instead of the ranked tables (the \
                  reconciliation still runs on stderr).")
   in
-  Term.(
-    const top_cmd $ workload $ size_arg $ threshold_arg $ delay_arg
-    $ Cli_common.prune_guards_arg $ Cli_common.tier_arg $ top $ json)
-
-let () =
-  Cli_common.Subcommand.register ~name:"top"
+  cmd "top"
     ~doc:
       "Run workloads with per-block attribution on and print the \
        hot-report: ranked traces and ranked blocks (self vs inlined \
        executions).  Every column is reconciled against the end-of-run \
        statistics (stderr, non-zero exit on mismatch)."
-    top_term
+    Term.(
+      const top_cmd
+      $ workloads_arg
+          ~doc:"Workload to profile (default: every registered workload)."
+      $ size_arg $ threshold_arg $ delay_arg $ prune_guards_arg $ tier_arg
+      $ top $ json)
 
-let timeline_term =
+let timeline =
   let chrome =
     Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"FILE"
            ~doc:"Write the timeline as Chrome trace_event JSON to $(docv) \
@@ -1311,20 +1101,15 @@ let timeline_term =
                  ticks) to $(docv) — direct flamegraph.pl / speedscope \
                  input.")
   in
-  Term.(
-    const timeline_cmd $ workload_arg $ size_arg $ threshold_arg $ delay_arg
-    $ fault_spec_arg $ fault_seed_arg $ self_heal_arg $ chrome $ folded)
-
-let () =
-  Cli_common.Subcommand.register ~name:"timeline"
+  cmd "timeline"
     ~doc:
       "Replay a workload with the causal span recorder on (trace builds, \
        heal sweeps, quarantine episodes) and export the timeline: span \
        JSON lines on stdout, or self-validated Chrome trace_event JSON \
        with --chrome FILE."
-    timeline_term
+    Term.(const timeline_cmd $ replay_term () $ chrome $ folded)
 
-let warm_term =
+let warm =
   let save =
     Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE"
            ~doc:"Run the workload cold and write the engine's end-of-run \
@@ -1335,12 +1120,7 @@ let warm_term =
            ~doc:"Warm-start from the snapshot in $(docv), then verify the \
                  warm VM result against an in-process cold run.")
   in
-  Term.(
-    const warm_cmd $ workload_arg $ size_arg $ threshold_arg $ delay_arg
-    $ save $ load)
-
-let () =
-  Cli_common.Subcommand.register ~name:"warm"
+  cmd "warm"
     ~doc:
       "Persist profile state across processes: --save writes a versioned, \
        checksummed snapshot of the BCG and trace cache after a cold run; \
@@ -1348,26 +1128,25 @@ let () =
        asserts the result is bit-identical to a cold control run.  Exits 1 \
        on a rejected snapshot (typed error on stderr) or a diverging \
        result."
-    warm_term
+    Term.(
+      const warm_cmd $ workload_arg $ size_arg $ threshold_arg $ delay_arg
+      $ save $ load)
 
-let postmortem_term =
+let postmortem =
   let file =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
            ~doc:"A flight-recorder dump (flightrec_<reason>.jsonl).")
   in
-  Term.(const postmortem_cmd $ file)
-
-let () =
-  Cli_common.Subcommand.register ~name:"postmortem"
+  cmd "postmortem"
     ~doc:
       "Pretty-print a flight-recorder post-mortem dump: the dump header \
        (trigger reason, ring occupancy) followed by the surviving window \
        of events, span closures and metric deltas, oldest first.  Every \
        line is re-parsed through the Codec JSON parser; exits 1 on any \
        malformed record."
-    postmortem_term
+    Term.(const postmortem_cmd $ file)
 
-let explain_term =
+let explain =
   let trace_id =
     Arg.(value & opt (some int) None & info [ "trace" ] ~docv:"ID"
            ~doc:"Only the records concerning trace $(docv).")
@@ -1378,13 +1157,7 @@ let explain_term =
              "Only the records naming block $(docv) (as entry, head, loop \
               header or latch), plus every record of a trace they name.")
   in
-  Term.(
-    const explain_cmd $ workload_arg $ size_arg $ threshold_arg $ delay_arg
-    $ fault_spec_arg $ fault_seed_arg $ self_heal_arg $ Cli_common.osr_arg
-    $ Cli_common.tier_arg $ trace_id $ block)
-
-let () =
-  Cli_common.Subcommand.register ~name:"explain"
+  cmd "explain"
     ~doc:
       "Replay a workload and narrate its decision ledger, the run's \
        decision events: why each trace was built, replaced, compiled, \
@@ -1394,9 +1167,9 @@ let () =
        $(b,events): every event kind against the end-of-run statistics, \
        and the ledger's per-kind totals against the stream (stderr, \
        non-zero exit on drift)."
-    explain_term
+    Term.(const explain_cmd $ replay_term ~osr:true () $ trace_id $ block)
 
-let bench_diff_term =
+let bench_diff =
   let old_path =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD"
            ~doc:"Baseline BENCH_<label>.json.")
@@ -1410,17 +1183,14 @@ let bench_diff_term =
            ~doc:"Tolerated regression per metric, in percent of the \
                  baseline value (direction-aware; default 0).")
   in
-  Term.(const bench_diff_cmd $ old_path $ new_path $ max_regress)
-
-let () =
-  Cli_common.Subcommand.register ~name:"bench-diff"
+  cmd "bench-diff"
     ~doc:
       "Compare two machine-readable bench baselines (BENCH_<label>.json, \
        from bench --json) direction-aware: each metric knows whether \
        higher or lower is better.  Exits 1 when any metric regressed \
        beyond --max-regress percent or a baseline metric is missing from \
        the candidate."
-    bench_diff_term
+    Term.(const bench_diff_cmd $ old_path $ new_path $ max_regress)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
@@ -1430,4 +1200,11 @@ let () =
         "Dynamic profiling and trace cache generation for a bytecode VM \
          (CGO 2003 reproduction)."
   in
-  exit (Cmd.eval (Cmd.group ~default info (Cli_common.Subcommand.commands ())))
+  exit
+    (Cmd.eval
+       (Cmd.group ~default info
+          [
+            run; events; table; disasm; export; list; lint; prove; backends;
+            session; chaos; top; timeline; warm; postmortem; explain;
+            bench_diff;
+          ]))

@@ -427,13 +427,13 @@ let note_executed ctx g =
   ctx.prev2 <- ctx.prev;
   ctx.prev <- g
 
-(* The dispatch prologue every strategy runs first: advance the metrics
-   clock and, when the self-healing or fault machinery is armed, the
-   cache clock and the fault injector. *)
+(* The dispatch prologue every strategy runs first: hand the dispatch
+   clock to the metrics registry and, when the self-healing or fault
+   machinery is armed, to the trace cache and the fault injector. *)
 let prologue ctx =
-  Metrics.tick ctx.metrics;
+  let now = clock ctx in
+  Metrics.tick ctx.metrics ~now;
   if Config.self_heal ctx.config || Faults.is_active ctx.faults then begin
-    let now = clock ctx in
     Trace_cache.set_clock ctx.cache now;
     (* injected faults land just before the dispatch decision *)
     List.iter

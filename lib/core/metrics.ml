@@ -3,9 +3,10 @@
    Counters are owned mutable cells (hot-path increments touch nothing
    else); gauges are closures polled only when a snapshot is taken.
    Histograms use fixed power-of-two buckets so recording is O(1): one
-   bit-length loop, one array bump.  The tick clock is the engine's
-   dispatch count, so snapshots form a phase-analysis time series over
-   dispatches. *)
+   bit-length loop, one array bump.  The registry keeps no clock of its
+   own: each tick carries the owner's clock (the engine's dispatch
+   count), so snapshots form a phase-analysis time series over
+   dispatches stamped in the same time base as the event stream. *)
 
 type counter = { c_name : string; mutable c_value : int }
 
@@ -31,8 +32,9 @@ type snapshot = { at : int; values : (string * int) array }
 type t = {
   mutable entries : (string * source) list; (* reverse registration order *)
   mutable period : int;
-  mutable ticks : int;
-  mutable until_snapshot : int;
+  mutable now : int; (* the clock at the last tick *)
+  mutable taken_at : int; (* the clock at the last snapshot or period change *)
+  mutable next_at : int; (* the clock of the next periodic snapshot *)
   mutable snaps : snapshot list; (* reverse chronological *)
   mutable callbacks : (snapshot -> unit) list; (* reverse registration *)
 }
@@ -42,8 +44,9 @@ let create ?(period = 0) () =
   {
     entries = [];
     period;
-    ticks = 0;
-    until_snapshot = period;
+    now = 0;
+    taken_at = 0;
+    next_at = period;
     snaps = [];
     callbacks = [];
   }
@@ -187,7 +190,7 @@ let read t name = Option.map read_source (find t name)
 
 let names t = List.rev_map fst t.entries
 
-let ticks t = t.ticks
+let ticks t = t.now
 
 let take t =
   let values =
@@ -195,7 +198,8 @@ let take t =
       (fun (name, src) -> flatten_source name src)
       (List.rev t.entries)
   in
-  let s = { at = t.ticks; values = Array.of_list values } in
+  let s = { at = t.now; values = Array.of_list values } in
+  t.taken_at <- t.now;
   t.snaps <- s :: t.snaps;
   List.iter (fun f -> f s) (List.rev t.callbacks);
   s
@@ -204,21 +208,19 @@ let force_snapshot t = take t
 
 let set_period t p =
   if p < 0 then invalid_arg "Metrics.set_period: negative period";
-  (* A countdown in progress means ticks have accumulated toward a
-     snapshot that the restart below would silently drop; emit it at the
-     change point so the series stays gap-free across the boundary. *)
-  if t.period > 0 && t.until_snapshot < t.period then ignore (take t);
+  (* Ticks since the last snapshot have accumulated toward one that the
+     restart below would silently drop; emit it at the change point so the
+     series stays gap-free across the boundary. *)
+  if t.period > 0 && t.now > t.taken_at then ignore (take t);
   t.period <- p;
-  t.until_snapshot <- p
+  t.next_at <- t.now + p
 
-let tick t =
-  t.ticks <- t.ticks + 1;
-  if t.period > 0 then begin
-    t.until_snapshot <- t.until_snapshot - 1;
-    if t.until_snapshot <= 0 then begin
-      t.until_snapshot <- t.period;
-      ignore (take t)
-    end
+let tick t ~now =
+  t.now <- now;
+  if t.period > 0 && now >= t.next_at then begin
+    (* the first boundary past [now] on the period's grid *)
+    t.next_at <- t.next_at + ((((now - t.next_at) / t.period) + 1) * t.period);
+    ignore (take t)
   end
 
 let snapshots t = List.rev t.snaps

@@ -11,10 +11,11 @@
     be captured from the dispatch path).
 
     Snapshotting is driven by {!tick}, which the engine calls once per
-    dispatch: every [period] ticks the registry evaluates every metric
-    and appends a {!snapshot} to the series.  With [period = 0]
-    (the default) a tick is one integer increment and one compare —
-    the disabled path stays effectively free. *)
+    dispatch with its dispatch clock: whenever that clock reaches the
+    next multiple of [period] the registry evaluates every metric and
+    appends a {!snapshot} stamped with the clock.  With [period = 0]
+    (the default) a tick is one store and one compare — the disabled
+    path stays effectively free. *)
 
 type t
 
@@ -28,7 +29,9 @@ type histogram
     (overflow).  Negative observations are clamped to [0]. *)
 
 type snapshot = {
-  at : int;  (** the tick count (dispatch index) the snapshot was taken at *)
+  at : int;
+      (** the owner's clock (the engine's dispatch count) when the
+          snapshot was taken *)
   values : (string * int) array;
       (** every registered metric, in registration order.  A histogram
           contributes six fields: [name.count], [name.sum], [name.p50],
@@ -36,16 +39,17 @@ type snapshot = {
 }
 
 val create : ?period:int -> unit -> t
-(** [period] ticks between snapshots; [0] (default) disables periodic
-    snapshotting.  @raise Invalid_argument on a negative period. *)
+(** [period] clock units between snapshots; [0] (default) disables
+    periodic snapshotting.  @raise Invalid_argument on a negative period. *)
 
 val period : t -> int
 
 val set_period : t -> int -> unit
-(** Change the snapshot period and restart the countdown.  If ticks had
-    already accumulated toward the next snapshot, one snapshot is taken
-    at the change point first — a mid-run period change never drops the
-    observations straddling the boundary. *)
+(** Change the snapshot period; the next periodic snapshot falls one new
+    period after the current clock.  If the clock had advanced since the
+    last snapshot, one snapshot is taken at the change point first — a
+    mid-run period change never drops the observations straddling the
+    boundary. *)
 
 val counter : t -> string -> counter
 (** Find or register the named counter.
@@ -111,11 +115,13 @@ val read : t -> string -> int option
 val names : t -> string list
 (** Registered metric names, in registration order. *)
 
-val tick : t -> unit
-(** Advance the dispatch clock; takes a snapshot when the period
-    elapses. *)
+val tick : t -> now:int -> unit
+(** The owner's clock now reads [now] (non-decreasing across calls);
+    takes a snapshot, stamped [now], when the clock has reached the next
+    period boundary. *)
 
 val ticks : t -> int
+(** The clock passed to the last {!tick} ([0] before any). *)
 
 val force_snapshot : t -> snapshot
 (** Snapshot now, off the periodic schedule; appended to the series and

@@ -52,6 +52,14 @@ dune exec bin/repro_cli.exe -- chaos --spec 'guard_flip@0.05,budget=24' \
 # tier — a transparency pass over an idle tier proves nothing.
 dune exec bin/repro_cli.exe -- backends --tier > /dev/null
 
+# Shared-cache transparency gate: every workload, two members each,
+# interleaved over per-layout shared trace caches with self-healing on
+# and traces corrupted under the members — every member's VM result must
+# stay bit-identical to a solo interpreter run.
+dune exec bin/repro_cli.exe -- session \
+  --workloads compress,javac,raytrace,mpegaudio,soot,scimark --users 2 \
+  --self-heal --fault-spec 'corrupt-trace@0.005,budget=20' > /dev/null
+
 # Compiled-tier chaos: guard-flip schedules force mid-trace deopt while
 # traces are dispatched from the micro-IR tier (--tier --osr), putting
 # the deopt-from-compiled-tier path under the FT901/FT902 gate.

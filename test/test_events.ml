@@ -156,9 +156,9 @@ let test_periodic_snapshots () =
   let c = Metrics.counter m "ticks_seen" in
   let reported = ref 0 in
   Metrics.on_snapshot m (fun _ -> incr reported);
-  for _ = 1 to 10 do
+  for i = 1 to 10 do
     Metrics.incr c;
-    Metrics.tick m
+    Metrics.tick m ~now:i
   done;
   (* snapshots at ticks 3, 6, 9 *)
   let snaps = Metrics.snapshots m in
@@ -178,8 +178,8 @@ let test_periodic_snapshots () =
 let test_disabled_period_no_snapshots () =
   let m = Metrics.create () in
   ignore (Metrics.counter m "c");
-  for _ = 1 to 1000 do
-    Metrics.tick m
+  for i = 1 to 1000 do
+    Metrics.tick m ~now:i
   done;
   check Alcotest.int "period 0 never snapshots" 0
     (List.length (Metrics.snapshots m));
@@ -191,9 +191,9 @@ let test_disabled_period_no_snapshots () =
 let test_set_period_midrun () =
   let m = Metrics.create ~period:10 () in
   let c = Metrics.counter m "ticks_seen" in
-  for _ = 1 to 7 do
+  for i = 1 to 7 do
     Metrics.incr c;
-    Metrics.tick m
+    Metrics.tick m ~now:i
   done;
   (* 7 ticks accumulated toward the snapshot at 10; changing the period
      must flush them at the change point rather than drop them *)
@@ -201,9 +201,9 @@ let test_set_period_midrun () =
   (match Metrics.snapshots m with
   | [ s ] -> check Alcotest.int "flushed at the change point" 7 s.Metrics.at
   | l -> Alcotest.failf "expected one snapshot, got %d" (List.length l));
-  for _ = 1 to 5 do
+  for i = 8 to 12 do
     Metrics.incr c;
-    Metrics.tick m
+    Metrics.tick m ~now:i
   done;
   (* the new period counts from the change point: next boundary at 12 *)
   check Alcotest.(list int) "new period counts from the change" [ 7; 12 ]
@@ -389,7 +389,7 @@ let snapshot_series config =
   let _s =
     Events.subscribe events (fun e ->
         match e.Events.payload with
-        | Events.Phase_snapshot s -> series := s :: !series
+        | Events.Phase_snapshot s -> series := (e.Events.time, s) :: !series
         | _ -> ())
   in
   let r = Engine.run ~config ~events hot_loop in
@@ -399,6 +399,7 @@ let test_deterministic_snapshot_series () =
   let config = Config.make ~snapshot_period:5_000 () in
   let _, a = snapshot_series config in
   let _, b = snapshot_series config in
+  let a = List.map snd a and b = List.map snd b in
   check Alcotest.bool "snapshots were taken" true (a <> []);
   check Alcotest.int "same series length" (List.length a) (List.length b);
   List.iter2
@@ -410,7 +411,8 @@ let test_deterministic_snapshot_series () =
 let test_snapshot_series_on_engine () =
   (* the engine registry's own series matches what the stream delivered *)
   let config = Config.make ~snapshot_period:5_000 () in
-  let r, streamed = snapshot_series config in
+  let r, timed = snapshot_series config in
+  let streamed = List.map snd timed in
   let own = Metrics.snapshots (Engine.metrics r.Engine.engine) in
   check Alcotest.int "registry series = streamed series"
     (List.length own) (List.length streamed);
@@ -418,19 +420,27 @@ let test_snapshot_series_on_engine () =
     (fun (x : Metrics.snapshot) (y : Metrics.snapshot) ->
       check Alcotest.int "same tick" x.Metrics.at y.Metrics.at)
     own streamed;
+  (* one clock: each record is stamped with its event's time, which is
+     the dispatch count the record itself reports, on the period grid *)
+  let value (s : Metrics.snapshot) name =
+    match Array.find_opt (fun (n, _) -> n = name) s.Metrics.values with
+    | Some (_, v) -> v
+    | None -> Alcotest.failf "missing gauge %s" name
+  in
+  List.iter
+    (fun (time, (s : Metrics.snapshot)) ->
+      check Alcotest.int "at = event time" time s.Metrics.at;
+      check Alcotest.int "at = block + trace dispatches" s.Metrics.at
+        (value s "block_dispatches" + value s "trace_dispatches");
+      check Alcotest.int "at on the period grid" 0 (s.Metrics.at mod 5_000))
+    timed;
   (* snapshots poll the final counters consistently: the last snapshot's
      gauge values never exceed the end-of-run stats *)
   match List.rev own with
   | [] -> Alcotest.fail "expected snapshots"
   | last :: _ ->
       let final = r.Engine.run_stats in
-      let get name =
-        match
-          Array.find_opt (fun (n, _) -> n = name) last.Metrics.values
-        with
-        | Some (_, v) -> v
-        | None -> Alcotest.failf "missing gauge %s" name
-      in
+      let get = value last in
       check Alcotest.bool "completed monotone" true
         (get "traces_completed" <= final.Stats.traces_completed);
       check Alcotest.bool "dispatch gauges monotone" true
